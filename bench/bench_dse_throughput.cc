@@ -19,7 +19,9 @@
  * exhaustive legs that is exactly evaluated-candidates/sec; for
  * annealing it credits the search with the space it covers without
  * visiting (the point of a metaheuristic), which is only honest
- * together with the quality gate below.
+ * together with the quality gate below and with
+ * annealing.evaluated_fraction (evaluated candidates / space size),
+ * which the JSON reports next to it, ungated.
  *
  * The engine claims, asserted in-binary (exit 1 on violation) and
  * gated in CI against bench/baselines/ci-small-dse.json:
@@ -303,11 +305,16 @@ main(int argc, char **argv)
                          coveragePerSec(space, nocache);
     double quality_gap =
         annealing.bestObjective - exhaustive.bestObjective;
+    const double evaluated_fraction =
+        static_cast<double>(annealing.candidates) /
+        static_cast<double>(space);
     std::printf("annealing:          %zu evals in %.3f s "
-                "(%.0f cand/s, %.2fx, best %.6g, frontier %zu)\n",
+                "(%.0f cand/s, %.2fx, best %.6g, frontier %zu, "
+                "evaluated %.4f of the space)\n",
                 annealing.candidates, annealing.seconds,
                 coveragePerSec(space, annealing), ann_speedup,
-                annealing.bestObjective, annealing.frontierSize);
+                annealing.bestObjective, annealing.frontierSize,
+                evaluated_fraction);
 
     // Determinism rerun: same options, different thread count, must
     // be bit-identical (checked on the full DseResult).
@@ -379,6 +386,7 @@ main(int argc, char **argv)
         "    \"candidates\": %zu,\n"
         "    \"seconds\": %.6f,\n"
         "    \"coverage_per_sec\": %.3f,\n"
+        "    \"evaluated_fraction\": %.6f,\n"
         "    \"best_objective\": %.9g,\n"
         "    \"frontier_size\": %zu,\n"
         "    \"speedup_vs_nocache\": %.3f,\n"
@@ -396,7 +404,8 @@ main(int argc, char **argv)
         exhaustive.seconds, coveragePerSec(space, exhaustive),
         exhaustive.bestObjective, ex_speedup, annealing.candidates,
         annealing.seconds, coveragePerSec(space, annealing),
-        annealing.bestObjective, annealing.frontierSize, ann_speedup,
+        evaluated_fraction, annealing.bestObjective,
+        annealing.frontierSize, ann_speedup,
         quality_gap, coveragePerSec(space, parallel),
         deterministic ? 1 : 0, us_per_layer, wl.totalLayers());
     std::fclose(json);

@@ -6,7 +6,6 @@
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -969,52 +968,46 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     }
 
     if (opts.postProcess)
-        postProcessIdleTime(schedule, wl, acc);
+        postProcessIdleTime(schedule, wl, memory);
     return schedule;
 }
 
 namespace
 {
 
-/** Flat key for an (instance, layer) pair; both fit in 32 bits. */
-std::uint64_t
-depKey(std::size_t instance_idx, std::size_t layer_idx)
-{
-    return (static_cast<std::uint64_t>(instance_idx) << 32) |
-           static_cast<std::uint64_t>(layer_idx & 0xffffffffULL);
-}
-
 /**
- * Entry index of (instance, layer) pairs for dependence lookups.
- * Fault-killed entries are skipped: a killed (instance, layer) pair
- * reappears as a later re-execution, and only the execution that
- * completed the work is a dependence anchor.
+ * Dependence anchor of every entry: the index of the entry that
+ * completed (instance, layer - 1), or SIZE_MAX for a first layer or
+ * a predecessor that never ran. Fault-killed entries are never
+ * anchors: a killed (instance, layer) pair reappears as a later
+ * re-execution, and only the execution that completed the work is a
+ * dependence anchor. Post-processing only retimes entries, so the
+ * indices stay valid for the whole pass.
  */
-std::unordered_map<std::uint64_t, std::size_t>
-buildDependenceIndex(const std::vector<ScheduledLayer> &entries)
+std::vector<std::size_t>
+buildPredecessors(const std::vector<ScheduledLayer> &entries,
+                  std::size_t num_instances)
 {
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    index.reserve(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].faultKilled)
-            continue;
-        index[depKey(entries[i].instanceIdx, entries[i].layerIdx)] = i;
-    }
-    return index;
-}
-
-/** Rebuild a memory tracker mirroring the schedule's intervals. */
-MemoryTracker
-buildTracker(const std::vector<ScheduledLayer> &entries,
-             std::uint64_t capacity)
-{
-    MemoryTracker tracker(capacity);
-    tracker.reserve(entries.size());
+    // (instance, layer) owns slot base[instance] + layer.
+    std::vector<std::size_t> base(num_instances + 1, 0);
     for (const ScheduledLayer &e : entries) {
-        tracker.add(e.startCycle, e.duration(),
-                    static_cast<double>(e.l2FootprintBytes));
+        base[e.instanceIdx + 1] =
+            std::max(base[e.instanceIdx + 1], e.layerIdx + 1);
     }
-    return tracker;
+    std::partial_sum(base.begin(), base.end(), base.begin());
+    std::vector<std::size_t> anchor(base.back(), SIZE_MAX);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!entries[i].faultKilled)
+            anchor[base[entries[i].instanceIdx] + entries[i].layerIdx] =
+                i;
+    }
+    std::vector<std::size_t> pred(entries.size(), SIZE_MAX);
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const ScheduledLayer &e = entries[i];
+        if (e.layerIdx > 0)
+            pred[i] = anchor[base[e.instanceIdx] + e.layerIdx - 1];
+    }
+    return pred;
 }
 
 } // namespace
@@ -1022,13 +1015,13 @@ buildTracker(const std::vector<ScheduledLayer> &entries,
 void
 HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                      const workload::Workload &wl,
-                                     const accel::Accelerator &acc)
-    const
+                                     MemoryTracker &tracker) const
 {
     std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
     if (entries.empty())
         return;
-    auto dep_index = buildDependenceIndex(entries);
+    const std::vector<std::size_t> pred =
+        buildPredecessors(entries, wl.numInstances());
 
     // Fault pinning: idle-time elimination must not rewrite fault
     // history. Pinned (never moved): killed entries (their end is
@@ -1078,28 +1071,24 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
     // Earliest legal start: the predecessor's end, but never before
     // the instance's arrival (pull/gap-fill must not hoist a frame's
     // layers ahead of the frame itself).
-    auto dep_ready = [&](const ScheduledLayer &e) {
-        double arrival =
-            wl.instances()[e.instanceIdx].arrivalCycle;
-        if (e.layerIdx == 0)
-            return arrival;
-        auto it =
-            dep_index.find(depKey(e.instanceIdx, e.layerIdx - 1));
-        return it == dep_index.end()
+    auto dep_ready = [&](std::size_t i) {
+        const double arrival =
+            wl.instances()[entries[i].instanceIdx].arrivalCycle;
+        return pred[i] == SIZE_MAX
                    ? arrival
-                   : std::max(arrival,
-                              entries[it->second].endCycle);
+                   : std::max(arrival, entries[pred[i]].endCycle);
     };
 
-    // Tracker and per-sub-accelerator time order are built once and
-    // maintained incrementally: both passes only retime entries, and
-    // every retime updates the tracker (move) and the order (splice)
-    // in place, so no per-pass rebuild or re-sort is needed. Entry
-    // start times on one sub-accelerator are strictly increasing
-    // (positive durations, no overlap), so the maintained order is
-    // the unique sorted order the per-pass sort would recompute.
-    MemoryTracker tracker =
-        buildTracker(entries, acc.globalBufferBytes());
+    // The tracker is dispatch's own: interval i is entry i, booked at
+    // [startCycle, endCycle) (a fault-killed entry, which is pinned,
+    // at [start, start + (onset - start))). It and the
+    // per-sub-accelerator time order, built once here, are maintained
+    // incrementally: both passes only retime entries, and every
+    // retime updates the tracker (move) and the order (splice) in
+    // place, so no per-pass rebuild or re-sort is needed. Entry start
+    // times on one sub-accelerator are strictly increasing (positive
+    // durations, no overlap), so the maintained order is the unique
+    // sorted order the per-pass sort would recompute.
     std::vector<std::vector<std::size_t>> per_acc(
         schedule.numSubAccs());
     for (std::size_t i = 0; i < entries.size(); ++i)
@@ -1124,7 +1113,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                 double acc_prev_end =
                     pos == 0 ? 0.0 : entries[vec[pos - 1]].endCycle;
                 double new_start =
-                    std::max(dep_ready(e), acc_prev_end);
+                    std::max(dep_ready(vec[pos]), acc_prev_end);
                 if (new_start < e.startCycle - kEps &&
                     window_ok(e, new_start) &&
                     tracker.feasible(
@@ -1145,9 +1134,26 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
         // time order is re-established (a splice of the moved entry
         // to its new position) before continuing — gaps are only
         // meaningful on a sorted timeline.
+        //
+        // Each scan takes the first move it finds, and the next scan
+        // resumes a little before that move's gap instead of at the
+        // front. This is exact: every gap before `resume` still has
+        // no move, so the moves (and the guard count) are those of a
+        // scan from the front. Gap p reads only vec[p - 1 ..
+        // p + lookaheadDepth], its candidates' predecessors, and
+        // tracker events up to vec[p]'s start + 2 kEps. A move into
+        // gap P rotates only vec[P .. j] and retimes only tracker
+        // events at or after its new start. No entry before P can
+        // depend on the moved entry: each starts no later than the
+        // new start, which lies before the moved entry's old end. So
+        // a gap with p + lookaheadDepth < P whose tracker reach ends
+        // before the new start reads nothing that changed.
+        const std::size_t lookahead =
+            static_cast<std::size_t>(opts.lookaheadDepth);
         for (auto &vec : per_acc) {
             bool moved = true;
             int guard = 0;
+            std::size_t resume = 0;
             const int max_moves =
                 static_cast<int>(vec.size()) + 8;
             while (moved && guard++ < max_moves) {
@@ -1160,7 +1166,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                 // placed at the earliest point inside the gap its
                 // dependences and arrival allow, not just at the
                 // gap's left edge.
-                for (std::size_t pos = 0;
+                for (std::size_t pos = resume;
                      pos < vec.size() && !moved; ++pos) {
                     double gap_start =
                         pos == 0 ? 0.0
@@ -1178,7 +1184,7 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                         ScheduledLayer &cand = entries[vec[j]];
                         double dur = cand.duration();
                         double earliest =
-                            std::max(gap_start, dep_ready(cand));
+                            std::max(gap_start, dep_ready(vec[j]));
                         if (earliest + dur > gap_end + kEps)
                             continue; // does not fit in the gap
                         if (cand.startCycle <= earliest + kEps)
@@ -1251,6 +1257,20 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                 static_cast<std::ptrdiff_t>(j),
                             vec.begin() +
                                 static_cast<std::ptrdiff_t>(j + 1));
+                        // A look-ahead's width back by index, then
+                        // further back while a gap's tracker reach
+                        // could touch the new start. The reach is the
+                        // gap end plus the fit check's kEps plus the
+                        // tracker's probe kEps (both 1e-6), rounded
+                        // as the queries round it.
+                        resume = pos > lookahead + 1
+                                     ? pos - lookahead - 1
+                                     : 0;
+                        while (resume > 0 &&
+                               !(entries[vec[resume - 1]].startCycle +
+                                     kEps + kEps <
+                                 earliest))
+                            --resume;
                         changed = true;
                         moved = true;
                         break;

@@ -44,6 +44,7 @@ namespace herald::sched
 {
 
 class LayerCostTable;
+class MemoryTracker;
 
 /** Initial layer ordering heuristic (Sec. IV-D). */
 enum class Ordering
@@ -272,13 +273,16 @@ class HeraldScheduler
 
     /**
      * Idle-time elimination (Fig. 9): pull + gap-fill sweeps.
-     * Incremental: one MemoryTracker and one per-sub-accelerator
-     * sorted order are maintained across passes and across gap-fill
-     * moves (a sorted-order splice replaces the per-move re-sort).
+     * Incremental: one MemoryTracker, one per-sub-accelerator sorted
+     * order and one predecessor index are maintained across passes
+     * and across gap-fill moves (a sorted-order splice replaces the
+     * per-move re-sort), and each gap-fill scan resumes just before
+     * the previous move's gap instead of at the front. @p tracker is
+     * dispatch's own tracker: its interval i is entry i.
      */
     void postProcessIdleTime(Schedule &schedule,
                              const workload::Workload &wl,
-                             const accel::Accelerator &acc) const;
+                             MemoryTracker &tracker) const;
 };
 
 } // namespace herald::sched

@@ -14,6 +14,30 @@ namespace
 
 constexpr double kEps = 1e-6;
 
+/**
+ * Index of the first event of the non-empty block @p ev for which
+ * @p before is false, like std::partition_point. Each halving step is
+ * a conditional select instead of a branch: in-block searches land at
+ * unpredictable offsets, and they are the hottest loop of
+ * post-processing. (The block-level search keeps the branchy
+ * std::partition_point: each of its probes loads a different block's
+ * buffer, which speculation overlaps and a select would serialize.)
+ */
+template <class Event, class Pred>
+std::size_t
+partitionIndex(const std::vector<Event> &ev, Pred before)
+{
+    const Event *first = ev.data();
+    std::size_t len = ev.size();
+    while (len > 1) {
+        const std::size_t half = len / 2;
+        first = before(first[half]) ? first + half : first;
+        len -= half;
+    }
+    return static_cast<std::size_t>(first - ev.data()) +
+           (before(*first) ? 1 : 0);
+}
+
 } // namespace
 
 // ------------------------------------------------------------------
@@ -60,11 +84,10 @@ MemoryTracker::upperBound(double t) const
         [t](const Block &b) { return b.ev.back().time <= t; });
     if (bit == blocks.end())
         return Pos{blocks.size(), 0};
-    auto eit = std::upper_bound(
-        bit->ev.begin(), bit->ev.end(), t,
-        [](double value, const Event &e) { return value < e.time; });
     return Pos{static_cast<std::size_t>(bit - blocks.begin()),
-               static_cast<std::size_t>(eit - bit->ev.begin())};
+               partitionIndex(bit->ev, [t](const Event &e) {
+                   return e.time <= t;
+               })};
 }
 
 MemoryTracker::Pos
@@ -75,11 +98,10 @@ MemoryTracker::lowerBound(double t) const
         [t](const Block &b) { return b.ev.back().time < t; });
     if (bit == blocks.end())
         return Pos{blocks.size(), 0};
-    auto eit = std::lower_bound(
-        bit->ev.begin(), bit->ev.end(), t,
-        [](const Event &e, double value) { return e.time < value; });
     return Pos{static_cast<std::size_t>(bit - blocks.begin()),
-               static_cast<std::size_t>(eit - bit->ev.begin())};
+               partitionIndex(bit->ev, [t](const Event &e) {
+                   return e.time < t;
+               })};
 }
 
 double
@@ -87,10 +109,19 @@ MemoryTracker::prefixSumBefore(Pos p) const
 {
     if (p.block == blocks.size())
         return fenwickPrefix(blocks.size());
+    // Walk the shorter side of the block: the prefix of the blocks
+    // before it plus the head, or through the block's end minus the
+    // tail. Integer-valued deltas make both sums exact.
     double sum = fenwickPrefix(p.block);
-    const std::vector<Event> &ev = blocks[p.block].ev;
-    for (std::size_t i = 0; i < p.off; ++i)
-        sum += ev[i].delta;
+    const Block &block = blocks[p.block];
+    if (2 * p.off <= block.ev.size()) {
+        for (std::size_t i = 0; i < p.off; ++i)
+            sum += block.ev[i].delta;
+    } else {
+        sum += block.deltaSum;
+        for (std::size_t i = p.off; i < block.ev.size(); ++i)
+            sum -= block.ev[i].delta;
+    }
     return sum;
 }
 
@@ -147,19 +178,29 @@ MemoryTracker::insertEvent(double time, double delta, std::size_t idx)
         splitBlock(b);
 }
 
-void
-MemoryTracker::eraseEvent(double time, std::size_t idx)
+MemoryTracker::Pos
+MemoryTracker::findEvent(double time, double delta,
+                         std::size_t idx) const
 {
     // Events of one interval are found by exact time (callers pass
-    // the stored interval bounds back verbatim).
+    // the stored interval bounds back verbatim); the delta tells a
+    // zero-length interval's start event from its end event.
     Pos p = lowerBound(time);
-    while (valid(p) && at(p).time == time && at(p).idx != idx)
+    while (valid(p) && at(p).time == time &&
+           (at(p).idx != idx || at(p).delta != delta))
         advance(p);
     if (!valid(p) || at(p).time != time)
-        util::panic("memory tracker: stale event erase");
+        util::panic("memory tracker: stale event lookup");
+    return p;
+}
+
+void
+MemoryTracker::eraseAt(Pos p)
+{
     Block &block = blocks[p.block];
-    block.deltaSum -= at(p).delta;
-    fenwickAdd(p.block, -block.ev[p.off].delta);
+    const double delta = block.ev[p.off].delta;
+    block.deltaSum -= delta;
+    fenwickAdd(p.block, -delta);
     block.ev.erase(block.ev.begin() +
                    static_cast<std::ptrdiff_t>(p.off));
     if (block.ev.empty()) {
@@ -167,6 +208,40 @@ MemoryTracker::eraseEvent(double time, std::size_t idx)
                      static_cast<std::ptrdiff_t>(p.block));
         rebuildFenwick();
     }
+}
+
+void
+MemoryTracker::moveEvent(double time, double delta, std::size_t idx,
+                         double new_time)
+{
+    const Pos p = findEvent(time, delta, idx);
+    // The event may stay in its block whenever new_time still sorts
+    // between the neighbouring blocks: it then shifts along the
+    // block, and the block's deltaSum and the Fenwick tree are
+    // untouched. No query result depends on the order of equal-time
+    // events (each is a sum or a max over a time prefix), so this is
+    // exact even where it orders ties differently from
+    // erase-plus-insert.
+    const bool stays =
+        (p.block == 0 ||
+         blocks[p.block - 1].ev.back().time <= new_time) &&
+        (p.block + 1 == blocks.size() ||
+         new_time <= blocks[p.block + 1].ev.front().time);
+    if (!stays) {
+        eraseAt(p);
+        insertEvent(new_time, delta, idx);
+        return;
+    }
+    std::vector<Event> &ev = blocks[p.block].ev;
+    std::size_t i = p.off;
+    if (new_time < time) {
+        for (; i > 0 && ev[i - 1].time > new_time; --i)
+            ev[i] = ev[i - 1];
+    } else {
+        for (; i + 1 < ev.size() && ev[i + 1].time <= new_time; ++i)
+            ev[i] = ev[i + 1];
+    }
+    ev[i] = Event{new_time, delta, idx};
 }
 
 // ------------------------------------------------------------------
@@ -190,17 +265,35 @@ MemoryTracker::feasible(double start, double dur, double bytes,
                         std::size_t exclude) const
 {
     const double end = start + dur;
-    // Occupancy is piecewise constant; check at the window start and
-    // at every interval start strictly inside the window.
-    double peak = occupancy(start, exclude);
-    for (Pos p = upperBound(start);
-         valid(p) && at(p).time < end; advance(p)) {
+    const Interval *skip =
+        exclude < intervals.size() ? &intervals[exclude] : nullptr;
+    // Occupancy is piecewise constant; check it at the window start
+    // and at every interval start strictly inside the window. Probe
+    // times only grow, so one cursor (`reach`, the first event past
+    // the current probe) sweeps forward from the window's first
+    // event with a running prefix sum — exact, as deltas are
+    // integer-valued — instead of a fresh search and prefix read per
+    // probe. The first overflowing probe decides.
+    const Pos first = upperBound(start);
+    Pos reach = first;
+    double level = prefixSumBefore(reach);
+    auto fits_at = [&](double t) {
+        const double probe = t + kEps;
+        for (; valid(reach) && at(reach).time <= probe; advance(reach))
+            level += at(reach).delta;
+        double occupied = level;
+        if (skip && skip->start <= probe && skip->end > probe)
+            occupied -= skip->bytes;
+        return occupied + bytes <= capacity + kEps;
+    };
+    if (!fits_at(start))
+        return false;
+    for (Pos p = first; valid(p) && at(p).time < end; advance(p)) {
         const Event &e = at(p);
-        if (e.delta <= 0.0 || e.idx == exclude)
-            continue;
-        peak = std::max(peak, occupancy(e.time, exclude));
+        if (e.delta > 0.0 && e.idx != exclude && !fits_at(e.time))
+            return false;
     }
-    return peak + bytes <= capacity + kEps;
+    return true;
 }
 
 double
@@ -333,13 +426,11 @@ void
 MemoryTracker::move(std::size_t idx, double new_start)
 {
     Interval &iv = intervals.at(idx);
-    double dur = iv.end - iv.start;
-    eraseEvent(iv.start, idx);
-    eraseEvent(iv.end, idx);
+    const double new_end = new_start + (iv.end - iv.start);
+    moveEvent(iv.start, iv.bytes, idx, new_start);
+    moveEvent(iv.end, -iv.bytes, idx, new_end);
     iv.start = new_start;
-    iv.end = new_start + dur;
-    insertEvent(iv.start, iv.bytes, idx);
-    insertEvent(iv.end, -iv.bytes, idx);
+    iv.end = new_end;
 }
 
 } // namespace herald::sched

@@ -14,7 +14,11 @@
  * charges O(events-after-position) per insert, which turns
  * schedulers that commit intervals out of time order (breadth-first
  * round-robin over thousands of in-flight frames) quadratic.
- * Feasibility of a window walks only the events inside the window.
+ * Feasibility of a window is one forward sweep over the events
+ * inside it, with a running prefix sum. move() shifts an event along
+ * its block when its new time still sorts there, leaving the block
+ * sums and the Fenwick tree untouched; only a move out of the block
+ * pays for an erase and an insert.
  *
  * All byte counts are integer-valued doubles, so every delta sum is
  * exact and query results are bit-identical to the flat-timeline and
@@ -166,8 +170,13 @@ class MemoryTracker
     /** Sum of every event delta strictly before position @p p. */
     double prefixSumBefore(Pos p) const;
 
+    /** Position of @p idx's event with this exact time and delta. */
+    Pos findEvent(double time, double delta, std::size_t idx) const;
     void insertEvent(double time, double delta, std::size_t idx);
-    void eraseEvent(double time, std::size_t idx);
+    void eraseAt(Pos p);
+    /** Retime one event, in place when it can stay in its block. */
+    void moveEvent(double time, double delta, std::size_t idx,
+                   double new_time);
     void splitBlock(std::size_t b);
 
     void rebuildFenwick();

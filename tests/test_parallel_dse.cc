@@ -3,7 +3,8 @@
  * Parallel DSE engine tests: (i) Herald::explore must return
  * bit-identical results (point ordering, summaries, bestIdx) for any
  * thread count, and (ii) the event-timeline MemoryTracker must agree
- * with a brute-force occupancy reference on randomized workloads.
+ * with a brute-force occupancy reference on randomized workloads,
+ * through in-block and cross-block moves and retirement.
  */
 
 #include <gtest/gtest.h>
@@ -189,6 +190,11 @@ class BruteTracker
         iv.end = new_start + dur;
     }
 
+    const Interval &interval(std::size_t idx) const
+    {
+        return intervals.at(idx);
+    }
+
     double
     occupancyAt(double t, std::size_t exclude = SIZE_MAX) const
     {
@@ -259,6 +265,113 @@ TEST(MemoryTrackerTest, MatchesBruteForceOnRandomizedIntervals)
                 << "step " << step << " t " << t;
         }
     }
+}
+
+TEST(MemoryTrackerTest, BlockedMovesAndRetirementMatchBruteForce)
+{
+    // 700 intervals are 1400 events and a block holds at most 512,
+    // so the timeline spans at least three blocks. Small retimes
+    // shift an event inside its block, large ones relocate it across
+    // block boundaries, and retimes onto another interval's start or
+    // end land on equal-time events; zero-length intervals put a
+    // start and an end event of one interval at the same time.
+    // Retirement then drops a prefix and add() reuses the freed
+    // slots, so tracker slots are mapped to brute-force indices.
+    const std::uint64_t capacity = 1500;
+    const double horizon = 2000.0;
+    util::SplitMix64 rng(2024);
+    sched::MemoryTracker tracker(capacity);
+    BruteTracker brute(capacity);
+    std::vector<std::size_t> to_brute; // tracker slot -> brute index
+    std::vector<std::size_t> live;     // live tracker slots
+    double floor = 0.0;
+
+    auto uniform = [&](double lo, double hi) {
+        return lo + static_cast<double>(rng.nextBounded(
+                        static_cast<std::uint64_t>(hi - lo)));
+    };
+    auto add = [&] {
+        const double start = uniform(floor, horizon);
+        const double dur = uniform(0.0, 31.0);
+        const double bytes = uniform(1.0, 400.0);
+        const std::size_t slot = tracker.add(start, dur, bytes);
+        if (slot >= to_brute.size())
+            to_brute.resize(slot + 1);
+        to_brute[slot] = brute.add(start, dur, bytes);
+        live.push_back(slot);
+    };
+    auto check = [&](int step, double moved_start) {
+        const double at[] = {uniform(floor, horizon + 60.0),
+                             moved_start, moved_start + 1.0};
+        for (double t : at) {
+            ASSERT_EQ(tracker.occupancy(t), brute.occupancyAt(t))
+                << "step " << step << " t " << t;
+        }
+        const double t = at[rng.nextBounded(3)];
+        const double dur = uniform(1.0, 61.0);
+        const double bytes = uniform(1.0, 1501.0);
+        const std::size_t ex = live[rng.nextBounded(live.size())];
+        ASSERT_EQ(tracker.feasible(t, dur, bytes, ex),
+                  brute.feasible(t, dur, bytes, to_brute[ex]))
+            << "step " << step;
+        ASSERT_EQ(tracker.feasible(t, dur, bytes),
+                  brute.feasible(t, dur, bytes))
+            << "step " << step;
+        if (step % 8 == 0) {
+            ASSERT_EQ(tracker.firstFeasible(t, dur, bytes),
+                      brute.firstFeasible(t, dur, bytes))
+                << "step " << step;
+        }
+    };
+    auto moves = [&](int steps) {
+        for (int step = 0; step < steps; ++step) {
+            const std::size_t slot = live[rng.nextBounded(live.size())];
+            const double start = brute.interval(to_brute[slot]).start;
+            double target = 0.0;
+            switch (rng.nextBounded(3)) {
+            case 0: // a few cycles: stays inside its block
+                target = start + uniform(-3.0, 4.0);
+                break;
+            case 1: // anywhere: crosses block boundaries
+                target = uniform(floor, horizon);
+                break;
+            default: { // onto another interval's start or end event
+                const BruteTracker::Interval &other = brute.interval(
+                    to_brute[live[rng.nextBounded(live.size())]]);
+                target = rng.nextBounded(2) ? other.start : other.end;
+            }
+            }
+            target = std::max(target, floor);
+            tracker.move(slot, target);
+            brute.move(to_brute[slot], target);
+            check(step, target);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    };
+    auto retire = [&](double new_floor) {
+        floor = new_floor;
+        std::vector<std::size_t> kept;
+        for (std::size_t slot : live) {
+            if (brute.interval(to_brute[slot]).end > floor)
+                kept.push_back(slot);
+        }
+        EXPECT_EQ(tracker.retireBefore(floor), live.size() - kept.size());
+        EXPECT_EQ(tracker.liveIntervals(), kept.size());
+        live = kept;
+    };
+
+    for (int i = 0; i < 700; ++i)
+        add();
+    ASSERT_NO_FATAL_FAILURE(moves(1200));
+    retire(700.0);
+    for (int i = 0; i < 250; ++i)
+        add();
+    ASSERT_NO_FATAL_FAILURE(moves(600));
+    retire(1400.0);
+    for (int i = 0; i < 250; ++i)
+        add();
+    ASSERT_NO_FATAL_FAILURE(moves(600));
 }
 
 TEST(MemoryTrackerTest, OverCapacityRequestSerializesBehindAll)

@@ -5,16 +5,26 @@
  * implementation (per-layer cost queries + O(n_instances) scans) on
  * every factory scenario, under every combination of
  * {FIFO, EDF} x {BreadthFirst, DepthFirst} x postProcess {on, off} —
- * plus prefill-thread determinism and prebuilt-table reuse.
+ * plus the post-processing grid (look-ahead depth x pass budget x
+ * context-change penalty, and a global buffer small enough to reject
+ * moves), digests pinning post-processing under faults and elastic
+ * reconfiguration (which the reference rejects), prefill-thread
+ * determinism and prebuilt-table reuse.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hh"
 #include "dnn/model_zoo.hh"
+#include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
 #include "sched/layer_cost_table.hh"
 #include "sched/reference_scheduler.hh"
@@ -177,6 +187,219 @@ TEST_F(SchedEquivalenceTest, AllScenariosAllPolicyCombinations)
             }
         }
     }
+}
+
+/**
+ * The post-processing knobs the gap-fill scan's resume rule depends
+ * on: every look-ahead depth it treats differently, one and many
+ * passes, and both context-change penalty modes.
+ */
+std::vector<std::pair<std::string, SchedulerOptions>>
+postProcessGrid()
+{
+    std::vector<std::pair<std::string, SchedulerOptions>> grid;
+    for (int depth : {1, 2, 4, 8}) {
+        for (int passes : {1, 8}) {
+            for (double ctx : {0.0, 1e4}) {
+                SchedulerOptions opts;
+                opts.lookaheadDepth = depth;
+                opts.maxPostPasses = passes;
+                opts.contextChangeCycles = ctx;
+                grid.emplace_back("la" + std::to_string(depth) + "/p" +
+                                      std::to_string(passes) +
+                                      (ctx > 0.0 ? "/ctx" : ""),
+                                  opts);
+            }
+        }
+    }
+    return grid;
+}
+
+TEST_F(SchedEquivalenceTest, PostProcessGridMatchesReference)
+{
+    // Both dispatch orders, on two- and three-way HDAs.
+    for (const Accelerator &acc : {edgeHda(), threeWayHda()}) {
+        for (const NamedWorkload &s : scenarios()) {
+            for (const auto &[label, grid_opts] : postProcessGrid()) {
+                for (auto policy :
+                     {sched::Policy::Fifo, sched::Policy::Edf}) {
+                    SchedulerOptions opts = grid_opts;
+                    opts.policy = policy;
+                    expectEquivalent(s.wl, acc, opts,
+                                     s.name + "/" + acc.name() + "/" +
+                                         label + "/" +
+                                         sched::toString(policy));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Entries the pull pass could still start earlier by time alone: the
+ * later of the frame's arrival, the predecessor layer's end and the
+ * previous entry's end on the same sub-accelerator lies before the
+ * entry's start. In a converged schedule without fault or
+ * reconfiguration windows, only the memory tracker can have rejected
+ * those pulls.
+ */
+std::size_t
+pullableEntries(const Schedule &s, const Workload &wl)
+{
+    std::map<std::pair<std::size_t, std::size_t>, double> end_of;
+    std::vector<std::vector<const sched::ScheduledLayer *>> per_acc(
+        s.numSubAccs());
+    for (const sched::ScheduledLayer &e : s.entries()) {
+        end_of[{e.instanceIdx, e.layerIdx}] = e.endCycle;
+        per_acc[e.accIdx].push_back(&e);
+    }
+    std::size_t pullable = 0;
+    for (auto &on_acc : per_acc) {
+        std::sort(on_acc.begin(), on_acc.end(),
+                  [](const auto *a, const auto *b) {
+                      return a->startCycle < b->startCycle;
+                  });
+        double prev_end = 0.0;
+        for (const sched::ScheduledLayer *e : on_acc) {
+            double ready = std::max(
+                prev_end, wl.instances()[e->instanceIdx].arrivalCycle);
+            if (e->layerIdx > 0)
+                ready = std::max(
+                    ready, end_of.at({e->instanceIdx, e->layerIdx - 1}));
+            if (ready < e->startCycle - 1e-6)
+                ++pullable;
+            prev_end = e->endCycle;
+        }
+    }
+    return pullable;
+}
+
+TEST_F(SchedEquivalenceTest, PostProcessUnderTightBufferMatchesReference)
+{
+    // With a 32 KiB global buffer every layer still fits on its own,
+    // but the memory tracker rejects some moves: after
+    // post-processing has converged (one more pass changes nothing),
+    // entries remain that the pull pass could start earlier by time
+    // alone. With a huge buffer none remain, and the schedules
+    // differ.
+    const Workload wl = workload::mixedTenantScenario(2);
+    auto hda = [](std::uint64_t buffer_bytes) {
+        accel::AcceleratorClass chip = accel::edgeClass();
+        chip.globalBufferBytes = buffer_bytes;
+        return Accelerator::makeHda(
+            chip, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+            {512, 512}, {8.0, 8.0});
+    };
+    const std::uint64_t tight_bytes = std::uint64_t{32} << 10;
+    const Accelerator tight = hda(tight_bytes);
+    const Accelerator huge = hda(std::uint64_t{1} << 40);
+    SchedulerOptions converged;
+    converged.maxPostPasses = 64;
+    SchedulerOptions one_more = converged;
+    one_more.maxPostPasses = 65;
+    auto run = [&](const SchedulerOptions &opts,
+                   const Accelerator &acc) {
+        return HeraldScheduler(model, opts).schedule(wl, acc);
+    };
+
+    const Schedule tight_pp = run(converged, tight);
+    ASSERT_TRUE(tight_pp.identicalTo(run(one_more, tight)));
+    EXPECT_GT(pullableEntries(tight_pp, wl), 0u);
+    EXPECT_LE(tight_pp.peakOccupancyBytes(), tight_bytes);
+    const Schedule huge_pp = run(converged, huge);
+    ASSERT_TRUE(huge_pp.identicalTo(run(one_more, huge)));
+    EXPECT_EQ(pullableEntries(huge_pp, wl), 0u);
+    EXPECT_FALSE(tight_pp.identicalTo(huge_pp));
+
+    for (const auto &[label, opts] : postProcessGrid())
+        expectEquivalent(wl, tight, opts, "tight/" + label);
+}
+
+/** FNV-1a over the bit patterns of every entry's start and end. */
+std::uint64_t
+timingDigest(const Schedule &s)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const sched::ScheduledLayer &e : s.entries()) {
+        for (double v : {e.startCycle, e.endCycle}) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, &v, sizeof bits);
+            for (int byte = 0; byte < 8; ++byte) {
+                h ^= (bits >> (8 * byte)) & 0xffU;
+                h *= 1099511628211ULL;
+            }
+        }
+    }
+    return h;
+}
+
+TEST_F(SchedEquivalenceTest, PostProcessPinsFaultAndReconfigHistory)
+{
+    // referenceSchedule rejects fault timelines and reconfiguration,
+    // so post-processing under them is pinned to digests of every
+    // entry's start and end, recorded from the post-processor that
+    // rescanned every gap from the front after each move. Each case
+    // must also really post-process (its schedule differs from the
+    // dispatch-only one) around something it has to pin: fault
+    // windows and kills, or reconfiguration windows whose
+    // context-change adjacency must survive every reorder.
+    struct Case
+    {
+        std::string label;
+        Workload wl;
+        Accelerator acc;
+        SchedulerOptions opts;
+        std::uint64_t digest;
+    };
+    std::vector<Case> cases;
+    const Workload arvr = workload::arvrA60fps(3);
+    const double horizon = 1.2 * sched::HeraldScheduler(model)
+                                     .schedule(arvr, edgeHda())
+                                     .makespanCycles();
+    const std::uint64_t fault_digests[] = {0xdeb5deac1cdd77ceULL,
+                                           0x97125086705566b7ULL,
+                                           0x1d51cdf9249b634eULL};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SchedulerOptions opts;
+        opts.policy = sched::Policy::Edf;
+        opts.faults = sched::FaultTimeline::random(seed, 2, horizon);
+        cases.push_back({"faults/seed" + std::to_string(seed), arvr,
+                         edgeHda(), opts, fault_digests[seed - 1]});
+    }
+    SchedulerOptions elastic;
+    elastic.policy = sched::Policy::Edf;
+    elastic.contextChangeCycles = 1e4;
+    elastic.reconfig.policy = sched::Reconfig::BacklogSkew;
+    elastic.reconfig.skewThresholdCycles = 1e6;
+    elastic.reconfig.migrationQuantumPes = 64;
+    elastic.reconfig.drainCycles = 1e4;
+    elastic.reconfig.perPeRewireCycles = 10.0;
+    elastic.reconfig.cooldownCycles = 1e5;
+    cases.push_back({"reconfig/shifting",
+                     workload::shiftingLoadFactory(8), edgeHda(),
+                     elastic, 0x6945d1821e2b5bd0ULL});
+    cases.push_back({"reconfig/3way", workload::mixedTenantScenario(2),
+                     threeWayHda(), elastic, 0x1b7dc48b99cd788bULL});
+
+    std::size_t killed = 0;
+    for (const Case &c : cases) {
+        const Schedule pp =
+            HeraldScheduler(model, c.opts).schedule(c.wl, c.acc);
+        for (const sched::ScheduledLayer &e : pp.entries())
+            killed += e.faultKilled ? 1 : 0;
+        SchedulerOptions off = c.opts;
+        off.postProcess = false;
+        const Schedule dispatched =
+            HeraldScheduler(model, off).schedule(c.wl, c.acc);
+        EXPECT_FALSE(pp.identicalTo(dispatched)) << c.label;
+        const sched::FaultTimeline *faults =
+            c.opts.faults.empty() ? nullptr : &c.opts.faults;
+        EXPECT_TRUE(faults || !pp.reconfigEvents().empty())
+            << c.label;
+        EXPECT_EQ(pp.validate(c.wl, c.acc, faults), "") << c.label;
+        EXPECT_EQ(timingDigest(pp), c.digest) << c.label;
+    }
+    EXPECT_GT(killed, 0u) << "no fault case pins a killed entry";
 }
 
 TEST_F(SchedEquivalenceTest, PreemptionOffStaysPr4BitIdentical)
