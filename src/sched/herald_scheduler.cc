@@ -83,6 +83,75 @@ SchedulerOptions::validate() const
     reconfig.validate();
 }
 
+/*
+ * Proof of the bound. A tracker probe at time t counts interval
+ * [s, e) iff s <= p < e, where p = t + kEps; `feasible` passes iff
+ * occupancy + bytes <= capacity + kEps at every probe of the window,
+ * and `firstFeasible` returns its start iff `feasible` passes there.
+ * So when every probe sees at most maxBufferDemand bytes and that
+ * fits the buffer, every `feasible` is true, every `firstFeasible`
+ * returns its start unchanged, and skipping the tracker changes no
+ * schedule.
+ *
+ * Dispatch. A sub-accelerator runs one layer at a time: every new
+ * layer starts at or after its sub-accelerator's frontier, the end
+ * of its latest entry, which the tracker books as that same
+ * start + dur. So entries on one sub-accelerator are disjoint,
+ * e_i <= s_(i+1). A point p lies in at most one of them, and in none
+ * on the probed layer's own sub-accelerator, whose entries all end
+ * at or before the probed start <= p. Occupancy + bytes <= sum over
+ * a of maxFp(a).
+ *
+ * Post-processing. Write d for the shortest entry. The pull pass
+ * starts an entry no earlier than its predecessor's end. Gap-fill
+ * starts a candidate no earlier than its new predecessor's end but
+ * accepts an end up to kEps past the gap, so neighbours may overlap:
+ * e_i <= fl(s_(i+1) + kEps) <= s_(i+1) + 2 kEps (the rounding adds at
+ * most kEps where doubles are <= 2 kEps apart; elsewhere the sum
+ * rounds back to s_(i+1)). Moves keep this: a pull only lowers an
+ * end, and the entry left behind by a gap-fill, i + 1, now follows
+ * i - 1 with e_(i-1) <= s_i + 2 kEps = e_i - d_i + 2 kEps
+ * <= s_(i+1) + 4 kEps - d <= s_(i+1) once d >= 4 kEps. By the same
+ * chain e_i <= s_(i+2), so a point lies in at most two entries per
+ * sub-accelerator. On the moved entry's own sub-accelerator (the
+ * entry itself excluded) the predecessor and everything before it
+ * end by the probed start, and a probe, at most fl(e + kEps)
+ * <= s_next + 4 kEps, lies before the start of the entry after the
+ * successor once d >= 6 kEps, so only the successor counts.
+ * Occupancy + bytes <= 2 * sum over a of maxFp(a).
+ *
+ * Durations. Entry lengths are table cycles (plus a context penalty)
+ * and every move re-rounds one end, so lengths drift by a rounding
+ * per move. Requiring every table entry to take kMinElidedCycles = 1
+ * cycle clears 6 kEps and that drift by orders of magnitude at any
+ * time below 2^40 cycles, where a rounding is at most 2^-13. A table
+ * with a shorter layer keeps the tracker.
+ *
+ * When to keep tracking. Elastic repartitioning swaps in epoch
+ * tables whose footprints the pristine table does not bound. Under a
+ * fault timeline a killed entry is booked as start + (onset - start),
+ * which can round past the onset at which the next layer starts, and
+ * it can be shorter than 6 kEps. Both report +infinity.
+ */
+double
+maxBufferDemand(const SchedulerOptions &opts, const LayerCostTable &table)
+{
+    constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+    constexpr double kMinElidedCycles = 1.0;
+    if (opts.reconfig.enabled() || !opts.faults.empty())
+        return kUnbounded;
+    double sum = 0.0;
+    for (std::size_t a = 0; a < table.numSubAccs(); ++a)
+        sum += static_cast<double>(table.maxFootprintBytes(a));
+    if (!opts.postProcess)
+        return sum;
+    for (std::size_t row = 0; row < table.numUniqueLayers(); ++row) {
+        if (!(table.minCycles(row) >= kMinElidedCycles))
+            return kUnbounded;
+    }
+    return 2.0 * sum;
+}
+
 HeraldScheduler::HeraldScheduler(cost::CostModel &model,
                                  SchedulerOptions options)
     : costModel(model), opts(options)
@@ -238,8 +307,12 @@ HeraldScheduler::schedule(const workload::Workload &wl,
 
     std::vector<double> acc_avail(n_acc, 0.0);
     std::vector<std::size_t> acc_last_instance(n_acc, SIZE_MAX);
+    // The buffer timeline is only kept when it could bind.
+    const bool track = maxBufferDemand(opts, table) >
+                       static_cast<double>(acc.globalBufferBytes());
     MemoryTracker memory(acc.globalBufferBytes());
-    memory.reserve(total_layers);
+    if (track)
+        memory.reserve(total_layers);
 
     // --- Dynamic doomed-frame state (DropPolicy::DoomedFrames) ---
     // Live deadline frames sit in a (deadline - remaining, idx)
@@ -537,7 +610,8 @@ HeraldScheduler::schedule(const workload::Workload &wl,
                 base_cycles * faults.throttleFactorAt(a, avail) +
                 penalty;
             const double fit =
-                memory.firstFeasible(avail, dur, bytes);
+                track ? memory.firstFeasible(avail, dur, bytes)
+                      : avail;
             if (fit == avail) {
                 out.start = fit;
                 out.dur = dur;
@@ -680,11 +754,11 @@ HeraldScheduler::schedule(const workload::Workload &wl,
             plan.contextPenalty = opts.contextChangeCycles;
             plan.dur += plan.contextPenalty;
         }
-        double start =
-            std::max(ready_time[inst], acc_avail[chosen]);
-        plan.start = memory.firstFeasible(
-            start, plan.dur,
-            static_cast<double>(sc.cost.l2FootprintBytes));
+        plan.start = std::max(ready_time[inst], acc_avail[chosen]);
+        if (track)
+            plan.start = memory.firstFeasible(
+                plan.start, plan.dur,
+                static_cast<double>(sc.cost.l2FootprintBytes));
         return plan;
     };
 
@@ -870,9 +944,10 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         // verbatim — bit-identical to the fault-free scheduler.
         const bool killed =
             faulty && plan.killAt < plan.start + plan.dur - kEps;
-        memory.add(plan.start,
-                   killed ? plan.killAt - plan.start : plan.dur,
-                   static_cast<double>(sc.cost.l2FootprintBytes));
+        if (track)
+            memory.add(plan.start,
+                       killed ? plan.killAt - plan.start : plan.dur,
+                       static_cast<double>(sc.cost.l2FootprintBytes));
 
         ScheduledLayer entry;
         entry.instanceIdx = inst;
@@ -968,7 +1043,7 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     }
 
     if (opts.postProcess)
-        postProcessIdleTime(schedule, wl, memory);
+        postProcessIdleTime(schedule, wl, track ? &memory : nullptr);
     return schedule;
 }
 
@@ -1015,7 +1090,7 @@ buildPredecessors(const std::vector<ScheduledLayer> &entries,
 void
 HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                      const workload::Workload &wl,
-                                     MemoryTracker &tracker) const
+                                     MemoryTracker *tracker) const
 {
     std::vector<ScheduledLayer> &entries = schedule.mutableEntries();
     if (entries.empty())
@@ -1116,11 +1191,13 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                     std::max(dep_ready(vec[pos]), acc_prev_end);
                 if (new_start < e.startCycle - kEps &&
                     window_ok(e, new_start) &&
-                    tracker.feasible(
-                        new_start, e.duration(),
-                        static_cast<double>(e.l2FootprintBytes),
-                        vec[pos])) {
-                    tracker.move(vec[pos], new_start);
+                    (!tracker ||
+                     tracker->feasible(
+                         new_start, e.duration(),
+                         static_cast<double>(e.l2FootprintBytes),
+                         vec[pos]))) {
+                    if (tracker)
+                        tracker->move(vec[pos], new_start);
                     double dur = e.duration();
                     e.startCycle = new_start;
                     e.endCycle = new_start + dur;
@@ -1239,14 +1316,16 @@ HeraldScheduler::postProcessIdleTime(Schedule &schedule,
                                 }
                             }
                         }
-                        if (!tracker.feasible(
+                        if (tracker &&
+                            !tracker->feasible(
                                 earliest, dur,
                                 static_cast<double>(
                                     cand.l2FootprintBytes),
                                 vec[j])) {
                             continue;
                         }
-                        tracker.move(vec[j], earliest);
+                        if (tracker)
+                            tracker->move(vec[j], earliest);
                         cand.startCycle = earliest;
                         cand.endCycle = earliest + dur;
                         // Splice vec[j] into its new slot at pos.

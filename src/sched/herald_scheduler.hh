@@ -241,6 +241,22 @@ struct SchedulerOptions
     void validate() const;
 };
 
+/**
+ * Upper bound on what any MemoryTracker probe of a run under @p opts
+ * over @p table can ask of the global buffer (occupancy plus the
+ * probed footprint), or +infinity when no bound is proved.
+ * HeraldScheduler and OnlineScheduler skip the tracker entirely when
+ * the chip's buffer holds at least this many bytes, since no tracker
+ * query could then fail; schedules stay bit-identical. The bound is
+ * the sum over sub-accelerators of each one's largest footprint
+ * (LayerCostTable::maxFootprintBytes), doubled with post-processing;
+ * elastic repartitioning, a fault timeline, and post-processing with
+ * layers shorter than a cycle have no bound. The proof is at the
+ * definition.
+ */
+double maxBufferDemand(const SchedulerOptions &opts,
+                       const LayerCostTable &table);
+
 /** The Herald scheduler. */
 class HeraldScheduler
 {
@@ -278,11 +294,13 @@ class HeraldScheduler
      * and across gap-fill moves (a sorted-order splice replaces the
      * per-move re-sort), and each gap-fill scan resumes just before
      * the previous move's gap instead of at the front. @p tracker is
-     * dispatch's own tracker: its interval i is entry i.
+     * dispatch's own tracker: its interval i is entry i. Null when
+     * the buffer cannot bind (maxBufferDemand): every move is then
+     * memory-feasible.
      */
     void postProcessIdleTime(Schedule &schedule,
                              const workload::Workload &wl,
-                             MemoryTracker &tracker) const;
+                             MemoryTracker *tracker) const;
 };
 
 } // namespace herald::sched

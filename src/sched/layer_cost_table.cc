@@ -190,6 +190,7 @@ LayerCostTable::build(cost::CostModel &model,
     table.orders.resize(rows * table.nAcc);
     table.minCyc.resize(rows, 0.0);
     table.remSuffix.resize(rows + n_models, 0.0);
+    table.maxFootprint.assign(table.nAcc, 0);
     if (rows == 0 || table.nAcc == 0)
         return table;
 
@@ -306,19 +307,32 @@ LayerCostTable::build(cost::CostModel &model,
         }
     }
 
-    // Per-model optimistic remaining-work suffix sums (serial: a
-    // left-to-right fold over each model's rows, after the fill).
-    for (std::size_t u = 0; u < n_models; ++u) {
+    table.foldRows(wl);
+    return table;
+}
+
+void
+LayerCostTable::foldRows(const workload::Workload &wl)
+{
+    // Serial, after the fill: per-model optimistic remaining-work
+    // suffix sums (a right-to-left fold over each model's rows), and
+    // each column's largest footprint.
+    maxFootprint.assign(nAcc, 0);
+    for (std::size_t u = 0; u < modelOffset.size(); ++u) {
         const std::size_t n_layers = wl.uniqueModel(u).numLayers();
-        const std::size_t seg = table.modelOffset[u] + u;
-        table.remSuffix[seg + n_layers] = 0.0;
+        const std::size_t seg = modelOffset[u] + u;
+        remSuffix[seg + n_layers] = 0.0;
         for (std::size_t l = n_layers; l-- > 0;) {
-            table.remSuffix[seg + l] =
-                table.remSuffix[seg + l + 1] +
-                table.minCyc[table.modelOffset[u] + l];
+            const std::size_t row = modelOffset[u] + l;
+            remSuffix[seg + l] = remSuffix[seg + l + 1] + minCyc[row];
+            for (std::size_t a = 0; a < nAcc; ++a) {
+                maxFootprint[a] =
+                    std::max(maxFootprint[a],
+                             entries[row * nAcc + a]
+                                 .cost.l2FootprintBytes);
+            }
         }
     }
-    return table;
 }
 
 void
@@ -400,16 +414,7 @@ LayerCostTable::rebuildColumns(cost::CostModel &model,
             refill_row(row);
     }
 
-    // Re-fold the suffix sums over the updated minima (serial).
-    for (std::size_t u = 0; u < n_models; ++u) {
-        const std::size_t n_layers = wl.uniqueModel(u).numLayers();
-        const std::size_t seg = modelOffset[u] + u;
-        remSuffix[seg + n_layers] = 0.0;
-        for (std::size_t l = n_layers; l-- > 0;) {
-            remSuffix[seg + l] =
-                remSuffix[seg + l + 1] + minCyc[modelOffset[u] + l];
-        }
-    }
+    foldRows(wl);
 }
 
 } // namespace herald::sched

@@ -244,6 +244,17 @@ class LayerCostTable
     double minCycles(std::size_t row) const { return minCyc[row]; }
 
     /**
+     * Largest global-buffer footprint of any row on sub-accelerator
+     * @p a (0 for an empty table) — the input of the scheduler's
+     * proof that the buffer cannot bind (maxBufferDemand).
+     */
+    std::uint64_t
+    maxFootprintBytes(std::size_t a) const
+    {
+        return maxFootprint[a];
+    }
+
+    /**
      * Optimistic remaining work of unique model @p uid from layer
      * @p layer (inclusive) to the last layer: the sum of each
      * remaining layer's best-case (minimum over sub-accelerators)
@@ -323,6 +334,10 @@ class LayerCostTable
     std::vector<double> minCyc;      //!< per row, min over sub-accs
     /** Per-model min-cycle suffix sums, 0-terminated per segment. */
     std::vector<double> remSuffix;
+    std::vector<std::uint64_t> maxFootprint; //!< per sub-acc
+
+    /** Recompute remSuffix and maxFootprint from the filled rows. */
+    void foldRows(const workload::Workload &wl);
 };
 
 } // namespace herald::sched

@@ -45,12 +45,24 @@ partitionIndex(const std::vector<Event> &ev, Pred before)
 // ------------------------------------------------------------------
 
 void
-MemoryTracker::rebuildFenwick()
+MemoryTracker::rebuildFenwickFrom(std::size_t b)
 {
+    // Node i (1-based) sums blocks [i - lowbit(i), i), so the nodes
+    // at or below b read only blocks before b and stay valid. Each
+    // node above b is its own block plus its children i - 1, i - 2,
+    // i - 4, ..., i - lowbit(i) / 2, all of which precede it. A split
+    // or erase near the end of the timeline thus costs O(log B)
+    // instead of a full O(B log B) rebuild; integer-valued deltas
+    // make the sums exact in any order.
     const std::size_t n = blocks.size();
-    fenwick.assign(n + 1, 0.0);
-    for (std::size_t b = 0; b < n; ++b)
-        fenwickAdd(b, blocks[b].deltaSum);
+    fenwick.resize(n + 1);
+    for (std::size_t i = b + 1; i <= n; ++i) {
+        double sum = blocks[i - 1].deltaSum;
+        const std::size_t low = i & (~i + 1);
+        for (std::size_t k = 1; k < low; k <<= 1)
+            sum += fenwick[i - k];
+        fenwick[i] = sum;
+    }
 }
 
 void
@@ -145,7 +157,7 @@ MemoryTracker::splitBlock(std::size_t b)
         tail.deltaSum += e.delta;
     blocks.insert(blocks.begin() + static_cast<std::ptrdiff_t>(b + 1),
                   std::move(tail));
-    rebuildFenwick();
+    rebuildFenwickFrom(b);
 }
 
 void
@@ -156,7 +168,7 @@ MemoryTracker::insertEvent(double time, double delta, std::size_t idx)
         block.ev.push_back(Event{time, delta, idx});
         block.deltaSum = delta;
         blocks.push_back(std::move(block));
-        rebuildFenwick();
+        rebuildFenwickFrom(0);
         return;
     }
     // Insert after every equal-time event. A boundary position (the
@@ -206,7 +218,7 @@ MemoryTracker::eraseAt(Pos p)
     if (block.ev.empty()) {
         blocks.erase(blocks.begin() +
                      static_cast<std::ptrdiff_t>(p.block));
-        rebuildFenwick();
+        rebuildFenwickFrom(p.block);
     }
 }
 
@@ -418,7 +430,7 @@ MemoryTracker::retireBefore(double floor_cycle)
     for (std::size_t b = suffix; b < blocks.size(); ++b)
         rebuilt.push_back(std::move(blocks[b]));
     blocks = std::move(rebuilt);
-    rebuildFenwick();
+    rebuildFenwickFrom(0);
     return removed;
 }
 

@@ -179,7 +179,8 @@ class MemoryTracker
                    double new_time);
     void splitBlock(std::size_t b);
 
-    void rebuildFenwick();
+    /** Recompute the Fenwick nodes that cover blocks >= @p b. */
+    void rebuildFenwickFrom(std::size_t b);
     void fenwickAdd(std::size_t block, double delta);
     double fenwickPrefix(std::size_t block) const; //!< blocks [0, b)
 };

@@ -93,6 +93,8 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                                   opts.sched.rdaOverheads,
                                   opts.sched.prefillThreads);
     activeTable = &table;
+    trackMemory = maxBufferDemand(opts.sched, table) >
+                  static_cast<double>(acc.globalBufferBytes());
     uidOf.resize(nModels);
     rowBaseOf.resize(nModels);
     layersOf.resize(nModels);
@@ -441,7 +443,9 @@ OnlineScheduler::placeOn(std::size_t a, double earliest,
             return false; // dead from here on
         const double dur =
             base_cycles * faults.throttleFactorAt(a, avail) + penalty;
-        const double fit = memory.firstFeasible(avail, dur, bytes);
+        const double fit =
+            trackMemory ? memory.firstFeasible(avail, dur, bytes)
+                        : avail;
         if (fit == avail) {
             out.start = fit;
             out.dur = dur;
@@ -575,10 +579,11 @@ OnlineScheduler::planLayer(std::size_t inst) const
         plan.contextPenalty = opts.sched.contextChangeCycles;
         plan.dur += plan.contextPenalty;
     }
-    double start = std::max(frame.readyTime, accAvail[chosen]);
-    plan.start = memory.firstFeasible(
-        start, plan.dur,
-        static_cast<double>(sc.cost.l2FootprintBytes));
+    plan.start = std::max(frame.readyTime, accAvail[chosen]);
+    if (trackMemory)
+        plan.start = memory.firstFeasible(
+            plan.start, plan.dur,
+            static_cast<double>(sc.cost.l2FootprintBytes));
     return plan;
 }
 
@@ -737,9 +742,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         activeTable->cost(row, plan.acc);
     const bool killed =
         faulty && plan.killAt < plan.start + plan.dur - kEps;
-    memory.add(plan.start,
-               killed ? plan.killAt - plan.start : plan.dur,
-               static_cast<double>(sc.cost.l2FootprintBytes));
+    if (trackMemory)
+        memory.add(plan.start,
+                   killed ? plan.killAt - plan.start : plan.dur,
+                   static_cast<double>(sc.cost.l2FootprintBytes));
 
     ScheduledLayer entry;
     entry.instanceIdx = inst;
@@ -1017,7 +1023,8 @@ OnlineScheduler::maintenance()
         lastRetiredEnd[e.accIdx] =
             std::max(lastRetiredEnd[e.accIdx], e.endCycle);
     });
-    memory.retireBefore(floor);
+    if (trackMemory)
+        memory.retireBefore(floor);
 
     // Pop finished frames off the window front once their entries
     // are retired (every committed end <= floor, handled just

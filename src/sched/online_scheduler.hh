@@ -170,7 +170,9 @@ struct OnlineStats
     std::uint64_t windowFrames = 0;   //!< frame states held
     std::uint64_t readyFrames = 0;    //!< ready-set size
     std::uint64_t liveEntries = 0;    //!< un-retired schedule entries
-    std::uint64_t liveIntervals = 0;  //!< un-retired memory intervals
+    /** Un-retired memory intervals; 0 throughout when the buffer
+     *  cannot bind and the tracker is skipped (maxBufferDemand). */
+    std::uint64_t liveIntervals = 0;
     std::uint64_t retiredEntries = 0; //!< total retired so far
     double watermarkCycle = 0.0;
     double retireFloorCycle = 0.0;
@@ -334,7 +336,9 @@ class OnlineScheduler
     std::size_t winBase = 0; //!< global index of win.front()
 
     // --- Dispatch-loop state (ports of the offline locals) ---
-    MemoryTracker memory;
+    /** False when the buffer cannot bind (maxBufferDemand). */
+    bool trackMemory = false;
+    MemoryTracker memory; //!< empty unless trackMemory
     Schedule sched;
     std::vector<double> accAvail;
     std::vector<std::size_t> accLastInstance; //!< global frame idx

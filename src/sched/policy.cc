@@ -1,5 +1,7 @@
 #include "sched/policy.hh"
 
+#include <utility>
+
 #include "util/logging.hh"
 
 namespace herald::sched
@@ -70,8 +72,11 @@ SelectionPolicy::rekey(std::size_t idx)
     const double key = keyOf(idx);
     if (key == currentKey[idx])
         return;
-    ready.erase(std::make_pair(currentKey[idx], idx));
-    ready.emplace(key, idx);
+    // Reuse the node: a re-key per scheduled layer would otherwise
+    // free and allocate one.
+    auto node = ready.extract(std::make_pair(currentKey[idx], idx));
+    node.value().first = key;
+    ready.insert(std::move(node));
     currentKey[idx] = key;
 }
 

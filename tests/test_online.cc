@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "accel/accelerator.hh"
@@ -20,6 +23,7 @@
 #include "sched/arrival_source.hh"
 #include "sched/fault_model.hh"
 #include "sched/herald_scheduler.hh"
+#include "sched/layer_cost_table.hh"
 #include "sched/online_scheduler.hh"
 #include "util/logging.hh"
 #include "workload/workload.hh"
@@ -53,12 +57,28 @@ class OnlineTest : public ::testing::Test
     void SetUp() override { util::setVerbose(false); }
 
     Accelerator
-    miniHda()
+    miniHda(std::uint64_t buffer_bytes =
+                accel::edgeClass().globalBufferBytes)
     {
+        accel::AcceleratorClass chip = accel::edgeClass();
+        chip.globalBufferBytes = buffer_bytes;
         return Accelerator::makeHda(
-            accel::edgeClass(),
-            {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+            chip, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
             {512, 512}, {8.0, 8.0});
+    }
+
+    /**
+     * A 24 KiB buffer. Every layer still fits on its own, but some
+     * footprints exceed their sub-accelerator's 12 KiB L2 share, so
+     * maxBufferDemand exceeds the buffer even without post-processing
+     * and both schedulers keep the memory tracker. (With an even
+     * split, footprints that fit their shares sum to at most the
+     * buffer: dispatch alone cannot bind.)
+     */
+    Accelerator
+    bindingHda()
+    {
+        return miniHda(std::uint64_t{24} << 10);
     }
 
     dnn::Model
@@ -176,16 +196,24 @@ class OnlineTest : public ::testing::Test
      * draining yields the offline oracle's schedule bit-identically,
      * and the rolling counters match its computeSla() accounting.
      */
-    void
+    Schedule
     expectMatchesOffline(const ArrivalSource &src,
                          const SchedulerOptions &base_opts)
+    {
+        return expectMatchesOffline(src, base_opts, miniHda());
+    }
+
+    /** Same, on @p acc; returns the offline schedule. */
+    Schedule
+    expectMatchesOffline(const ArrivalSource &src,
+                         const SchedulerOptions &base_opts,
+                         const Accelerator &acc)
     {
         // Bit-identity is on the dispatch-loop output: idle-time
         // post-processing needs the whole schedule, so the online
         // engine forbids it and the oracle must skip it too.
         SchedulerOptions sopts = base_opts;
         sopts.postProcess = false;
-        const Accelerator acc = miniHda();
         const Workload wl = src.materialize("online-oracle");
         const Schedule offline =
             HeraldScheduler(model, sopts).schedule(wl, acc);
@@ -198,7 +226,7 @@ class OnlineTest : public ::testing::Test
         runOnline(eng, src);
         const Schedule &online = eng.schedule();
 
-        ASSERT_EQ(online.entries().size(), offline.entries().size());
+        EXPECT_EQ(online.entries().size(), offline.entries().size());
         EXPECT_TRUE(online.identicalTo(offline));
 
         const sched::SlaStats sla = offline.computeSla(wl);
@@ -213,6 +241,19 @@ class OnlineTest : public ::testing::Test
         EXPECT_DOUBLE_EQ(st.missRate, sla.missRate);
         EXPECT_DOUBLE_EQ(st.maxLatencyCycles, sla.maxLatencyCycles);
         EXPECT_EQ(st.liveFrames, 0u);
+        return offline;
+    }
+
+    /** Whether the tracker is skipped for @p src on @p acc. */
+    bool
+    trackerSkipped(const ArrivalSource &src, const SchedulerOptions &sopts,
+                   const Accelerator &acc)
+    {
+        const sched::LayerCostTable table = sched::LayerCostTable::build(
+            model, src.materialize("bound"), acc, sopts.metric,
+            sopts.rdaOverheads, 1);
+        return sched::maxBufferDemand(sopts, table) <=
+               static_cast<double>(acc.globalBufferBytes());
     }
 
     cost::CostModel model;
@@ -300,6 +341,80 @@ TEST_F(OnlineTest, MatchesOfflineAcrossPrefillThreadCounts)
     }
 }
 
+/**
+ * Layers that start later than their frame's arrival, their
+ * predecessor's end and their sub-accelerator's previous end all
+ * allow: in a dispatch-only schedule without faults, only the memory
+ * tracker delays a layer so.
+ */
+std::size_t
+memoryDelayedLayers(const Schedule &s, const Workload &wl)
+{
+    std::vector<double> acc_end(s.numSubAccs(), 0.0);
+    std::map<std::pair<std::size_t, std::size_t>, double> end_of;
+    std::vector<const sched::ScheduledLayer *> by_start;
+    for (const sched::ScheduledLayer &e : s.entries())
+        by_start.push_back(&e);
+    std::sort(by_start.begin(), by_start.end(),
+              [](const auto *a, const auto *b) {
+                  return a->startCycle < b->startCycle;
+              });
+    std::size_t delayed = 0;
+    for (const sched::ScheduledLayer *e : by_start) {
+        double ready = std::max(acc_end[e->accIdx],
+                                wl.instances()[e->instanceIdx].arrivalCycle);
+        if (e->layerIdx > 0)
+            ready = std::max(ready,
+                             end_of.at({e->instanceIdx, e->layerIdx - 1}));
+        if (ready < e->startCycle)
+            ++delayed;
+        acc_end[e->accIdx] = e->endCycle;
+        end_of[{e->instanceIdx, e->layerIdx}] = e->endCycle;
+    }
+    return delayed;
+}
+
+TEST_F(OnlineTest, MatchesOfflineOnABindingBuffer)
+{
+    // On the edge chip every fault-free case skips the memory
+    // tracker; bindingHda() keeps it, in both the online engine's
+    // plan and commit and the offline oracle, and makes it delay
+    // layers.
+    const Accelerator acc = bindingHda();
+    std::size_t delayed = 0;
+    for (auto scenario : {&OnlineTest::multirate,
+                          &OnlineTest::backlogged,
+                          &OnlineTest::tieHeavy}) {
+        const ArrivalSource src = (this->*scenario)();
+        for (auto policy : {Policy::Fifo, Policy::Edf, Policy::Lst}) {
+            for (auto drop :
+                 {DropPolicy::None, DropPolicy::DoomedFrames}) {
+                for (auto preempt :
+                     {Preemption::Off, Preemption::AtLayerBoundary}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << src.models().front().name() << " "
+                                 << sched::toString(policy) << " "
+                                 << sched::toString(drop) << " "
+                                 << sched::toString(preempt));
+                    SchedulerOptions sopts;
+                    sopts.policy = policy;
+                    sopts.dropPolicy = drop;
+                    sopts.preemption = preempt;
+                    sopts.postProcess = false;
+                    EXPECT_TRUE(trackerSkipped(src, sopts, miniHda()));
+                    ASSERT_FALSE(trackerSkipped(src, sopts, acc));
+                    const Schedule offline =
+                        expectMatchesOffline(src, sopts, acc);
+                    const Workload wl = src.materialize("delays");
+                    EXPECT_EQ(offline.validate(wl, acc), "");
+                    delayed += memoryDelayedLayers(offline, wl);
+                }
+            }
+        }
+    }
+    EXPECT_GT(delayed, 0u) << "the buffer never bound";
+}
+
 TEST_F(OnlineTest, MidStreamStatsQueriesDoNotPerturbTheSchedule)
 {
     const ArrivalSource src = overloaded();
@@ -331,32 +446,29 @@ TEST_F(OnlineTest, MidStreamStatsQueriesDoNotPerturbTheSchedule)
 // Bounded memory: retire mode matches retain mode
 // ---------------------------------------------------------------
 
-TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
+/**
+ * Run @p src through a history-retaining and a history-retiring
+ * engine under @p sopts on @p acc: every rolling counter must agree.
+ * Returns (retain, retire) final stats.
+ */
+std::pair<OnlineStats, OnlineStats>
+expectRetireMatchesRetain(cost::CostModel &model,
+                          const ArrivalSource &src,
+                          const SchedulerOptions &sopts,
+                          const Accelerator &acc)
 {
-    // backlogged(): commits pile up AND frames doom out mid-run, so
-    // retirement has real history to fold (overloaded() would drop
-    // every frame at admission and leave nothing to retire).
-    const ArrivalSource src = backlogged();
-    const Accelerator acc = miniHda();
-    SchedulerOptions sopts;
-    sopts.policy = Policy::Lst;
-    sopts.dropPolicy = DropPolicy::DoomedFrames;
-    sopts.preemption = Preemption::AtLayerBoundary;
-    sopts.faults = midRunFaults();
-    sopts.postProcess = false;
-
     OnlineOptions retain;
     retain.sched = sopts;
     retain.retainSchedule = true;
     OnlineScheduler a(model, src.models(), acc, retain);
-    runOnline(a, src);
+    OnlineTest::runOnline(a, src);
 
     OnlineOptions retire;
     retire.sched = sopts;
     retire.retainSchedule = false;
     retire.maintenancePeriod = 4;
     OnlineScheduler b(model, src.models(), acc, retire);
-    runOnline(b, src);
+    OnlineTest::runOnline(b, src);
 
     const OnlineStats sa = a.stats();
     const OnlineStats sb = b.stats();
@@ -372,8 +484,9 @@ TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
     EXPECT_DOUBLE_EQ(sb.p50LatencyCycles, sa.p50LatencyCycles);
     EXPECT_DOUBLE_EQ(sb.p99LatencyCycles, sa.p99LatencyCycles);
     EXPECT_DOUBLE_EQ(sb.maxLatencyCycles, sa.maxLatencyCycles);
-    ASSERT_EQ(sb.perModel.size(), sa.perModel.size());
-    for (std::size_t m = 0; m < sa.perModel.size(); ++m) {
+    EXPECT_EQ(sb.perModel.size(), sa.perModel.size());
+    for (std::size_t m = 0;
+         m < std::min(sa.perModel.size(), sb.perModel.size()); ++m) {
         EXPECT_EQ(sb.perModel[m].completed, sa.perModel[m].completed);
         EXPECT_EQ(sb.perModel[m].dropped, sa.perModel[m].dropped);
         EXPECT_EQ(sb.perModel[m].deadlineMisses,
@@ -384,6 +497,47 @@ TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
     EXPECT_LT(sb.liveEntries, sa.liveEntries);
     // schedule() is retain-mode only.
     EXPECT_THROW(b.schedule(), std::runtime_error);
+    return {sa, sb};
+}
+
+TEST_F(OnlineTest, RetiringHistoryPreservesEveryRollingCounter)
+{
+    // backlogged(): commits pile up AND frames doom out mid-run, so
+    // retirement has real history to fold (overloaded() would drop
+    // every frame at admission and leave nothing to retire).
+    const ArrivalSource src = backlogged();
+    SchedulerOptions sopts;
+    sopts.policy = Policy::Lst;
+    sopts.dropPolicy = DropPolicy::DoomedFrames;
+    sopts.preemption = Preemption::AtLayerBoundary;
+    sopts.faults = midRunFaults();
+    sopts.postProcess = false;
+    expectRetireMatchesRetain(model, src, sopts, miniHda());
+}
+
+TEST_F(OnlineTest, RetiringHistoryOnABindingBuffer)
+{
+    // The fault-free case on the edge chip skips the memory tracker,
+    // so it never holds an interval. On bindingHda() it keeps the
+    // tracker, and retirement must also drop memory intervals
+    // (MemoryTracker::retireBefore) without changing any counter.
+    const ArrivalSource src = backlogged();
+    SchedulerOptions sopts;
+    sopts.policy = Policy::Lst;
+    sopts.dropPolicy = DropPolicy::DoomedFrames;
+    sopts.preemption = Preemption::AtLayerBoundary;
+    sopts.postProcess = false;
+
+    const auto skipped =
+        expectRetireMatchesRetain(model, src, sopts, miniHda());
+    EXPECT_EQ(skipped.first.liveIntervals, 0u);
+    EXPECT_EQ(skipped.second.liveIntervals, 0u);
+
+    const auto tracked =
+        expectRetireMatchesRetain(model, src, sopts, bindingHda());
+    EXPECT_EQ(tracked.first.liveIntervals, tracked.first.liveEntries);
+    EXPECT_LT(tracked.second.liveIntervals,
+              tracked.first.liveIntervals);
 }
 
 // ---------------------------------------------------------------

@@ -374,6 +374,107 @@ TEST(MemoryTrackerTest, BlockedMovesAndRetirementMatchBruteForce)
     ASSERT_NO_FATAL_FAILURE(moves(600));
 }
 
+TEST(MemoryTrackerTest, SuffixFenwickRebuildsMatchBruteForce)
+{
+    // A split, an erased empty block and retirement each rebuild only
+    // the Fenwick nodes at or after the block they touch. 2400
+    // intervals are 4800 events and a block holds at most 512, so the
+    // timeline spans at least ten blocks and the Fenwick tree has a
+    // node that sums eight blocks. The phases drive each rebuild
+    // through a part of the timeline: monotone appends (every split
+    // is a last-block split), a burst inside the timeline (interior
+    // splits), moves that empty whole interior blocks, and
+    // retirement of a prefix followed by slot reuse. Every query
+    // must match the brute-force oracle bit for bit.
+    const std::uint64_t capacity = 4000;
+    util::SplitMix64 rng(8);
+    sched::MemoryTracker tracker(capacity);
+    BruteTracker brute(capacity);
+    std::vector<std::size_t> to_brute; // tracker slot -> brute index
+    std::vector<std::size_t> live;     // live tracker slots
+    double floor = 0.0;
+    double horizon = 0.0;
+
+    auto draw = [&](std::uint64_t lo, std::uint64_t hi) {
+        return static_cast<double>(lo + rng.nextBounded(hi - lo));
+    };
+    auto add = [&](double start) {
+        const double dur = draw(1, 21);
+        const double bytes = draw(1, 300);
+        const std::size_t slot = tracker.add(start, dur, bytes);
+        if (slot >= to_brute.size())
+            to_brute.resize(slot + 1);
+        to_brute[slot] = brute.add(start, dur, bytes);
+        live.push_back(slot);
+        horizon = std::max(horizon, start + dur);
+    };
+    auto check = [&](const char *phase, int probes) {
+        const auto hi = static_cast<std::uint64_t>(horizon) + 40;
+        const auto lo = static_cast<std::uint64_t>(floor);
+        for (int i = 0; i < probes; ++i) {
+            const double t = draw(lo, hi);
+            ASSERT_EQ(tracker.occupancy(t), brute.occupancyAt(t))
+                << phase << " t " << t;
+            const double dur = draw(1, 41);
+            const double bytes = draw(1, 4001);
+            const std::size_t ex = live[rng.nextBounded(live.size())];
+            ASSERT_EQ(tracker.feasible(t, dur, bytes, ex),
+                      brute.feasible(t, dur, bytes, to_brute[ex]))
+                << phase << " t " << t;
+            ASSERT_EQ(tracker.feasible(t, dur, bytes),
+                      brute.feasible(t, dur, bytes))
+                << phase << " t " << t;
+            if (i % 4 == 0) {
+                ASSERT_EQ(tracker.firstFeasible(t, dur, bytes),
+                          brute.firstFeasible(t, dur, bytes))
+                    << phase << " t " << t;
+            }
+        }
+    };
+
+    // Monotone appends: starts one cycle apart.
+    for (int i = 0; i < 2400; ++i) {
+        add(static_cast<double>(i));
+        if (i % 300 == 299) {
+            ASSERT_NO_FATAL_FAILURE(check("append", 20));
+        }
+    }
+    // Interior splits: 700 intervals inside [800, 900).
+    for (int i = 0; i < 700; ++i) {
+        add(draw(800, 900));
+        if (i % 100 == 99) {
+            ASSERT_NO_FATAL_FAILURE(check("interior", 20));
+        }
+    }
+    // Empty interior blocks: every interval of [1500, 2000) moves
+    // past the horizon, 1000 intervals or 2000 events.
+    const double past = horizon + 100.0;
+    for (std::size_t slot : live) {
+        const double start = brute.interval(to_brute[slot]).start;
+        if (start >= 1500.0 && start < 2000.0) {
+            tracker.move(slot, past + (start - 1500.0));
+            brute.move(to_brute[slot], past + (start - 1500.0));
+        }
+    }
+    horizon = past + 540.0;
+    ASSERT_NO_FATAL_FAILURE(check("emptied", 200));
+    // Retire a prefix that ends inside the timeline, then reuse the
+    // freed slots with appends and interior adds.
+    floor = 1200.0;
+    std::vector<std::size_t> kept;
+    for (std::size_t slot : live) {
+        if (brute.interval(to_brute[slot]).end > floor)
+            kept.push_back(slot);
+    }
+    EXPECT_EQ(tracker.retireBefore(floor), live.size() - kept.size());
+    EXPECT_EQ(tracker.liveIntervals(), kept.size());
+    live = kept;
+    ASSERT_NO_FATAL_FAILURE(check("retired", 100));
+    for (int i = 0; i < 600; ++i)
+        add(i % 2 == 0 ? horizon : draw(1200, 2600));
+    ASSERT_NO_FATAL_FAILURE(check("reused", 200));
+}
+
 TEST(MemoryTrackerTest, OverCapacityRequestSerializesBehindAll)
 {
     sched::MemoryTracker tracker(100);

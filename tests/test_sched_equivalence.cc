@@ -42,12 +42,14 @@ using sched::Schedule;
 using sched::SchedulerOptions;
 using workload::Workload;
 
+/** The edge-class two-way HDA, optionally with another buffer size. */
 Accelerator
-edgeHda()
+edgeHda(std::uint64_t buffer_bytes = accel::edgeClass().globalBufferBytes)
 {
+    accel::AcceleratorClass chip = accel::edgeClass();
+    chip.globalBufferBytes = buffer_bytes;
     return Accelerator::makeHda(
-        accel::edgeClass(),
-        {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
+        chip, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
         {512, 512}, {8.0, 8.0});
 }
 
@@ -283,16 +285,9 @@ TEST_F(SchedEquivalenceTest, PostProcessUnderTightBufferMatchesReference)
     // alone. With a huge buffer none remain, and the schedules
     // differ.
     const Workload wl = workload::mixedTenantScenario(2);
-    auto hda = [](std::uint64_t buffer_bytes) {
-        accel::AcceleratorClass chip = accel::edgeClass();
-        chip.globalBufferBytes = buffer_bytes;
-        return Accelerator::makeHda(
-            chip, {DataflowStyle::NVDLA, DataflowStyle::ShiDiannao},
-            {512, 512}, {8.0, 8.0});
-    };
     const std::uint64_t tight_bytes = std::uint64_t{32} << 10;
-    const Accelerator tight = hda(tight_bytes);
-    const Accelerator huge = hda(std::uint64_t{1} << 40);
+    const Accelerator tight = edgeHda(tight_bytes);
+    const Accelerator huge = edgeHda(std::uint64_t{1} << 40);
     SchedulerOptions converged;
     converged.maxPostPasses = 64;
     SchedulerOptions one_more = converged;
@@ -313,6 +308,83 @@ TEST_F(SchedEquivalenceTest, PostProcessUnderTightBufferMatchesReference)
 
     for (const auto &[label, opts] : postProcessGrid())
         expectEquivalent(wl, tight, opts, "tight/" + label);
+}
+
+TEST_F(SchedEquivalenceTest, SkippedTrackerMatchesTrackedSchedule)
+{
+    // Each case is scheduled on the edge chip, where the scheduler
+    // skips the memory tracker when maxBufferDemand proves the buffer
+    // cannot bind, and must equal the reference, which always tracks
+    // (it has no LST, so LST cases skip that check). The case is then
+    // scheduled again, from the same cost table, on a copy of the chip
+    // with another buffer size that takes the other side: a buffer of
+    // the bound skips the tracker, and a buffer in [peak occupancy,
+    // bound) keeps it although it never rejects a placement or a
+    // move. Both schedules must be bit-identical. (A chip built with
+    // another buffer would give each sub-accelerator another L2 share
+    // and so other costs; the scheduler reads only the buffer size
+    // from the accelerator.) Dispatch only adds intervals, so it never
+    // probes above the final peak, and a buffer of exactly that peak
+    // cannot bind. Post-processing can probe above the final peak,
+    // since a later move may lower it, so those cases track with the
+    // largest buffer below the bound. Where the bound is tight (peak
+    // == bound) no tracked buffer exists and only one side runs.
+    const Accelerator edge = edgeHda();
+    const auto edge_bytes = static_cast<double>(edge.globalBufferBytes());
+    std::map<std::pair<bool, sched::Policy>, int> runs; // tracked?
+    for (const NamedWorkload &s : scenarios()) {
+        for (auto policy : {sched::Policy::Fifo, sched::Policy::Edf,
+                            sched::Policy::Lst}) {
+            for (bool pp : {false, true}) {
+                for (int lookahead : {1, 4}) {
+                    SchedulerOptions opts;
+                    opts.policy = policy;
+                    opts.postProcess = pp;
+                    opts.lookaheadDepth = lookahead;
+                    const std::string label =
+                        s.name + "/" + sched::toString(policy) +
+                        (pp ? "/pp" : "/nopp") + "/la" +
+                        std::to_string(lookahead);
+                    const sched::LayerCostTable table =
+                        sched::LayerCostTable::build(
+                            model, s.wl, edge, opts.metric,
+                            opts.rdaOverheads, 1);
+                    const double bound =
+                        sched::maxBufferDemand(opts, table);
+                    HeraldScheduler scheduler(model, opts);
+                    const Schedule at_edge =
+                        scheduler.schedule(s.wl, edge, table);
+                    const bool edge_tracks = bound > edge_bytes;
+                    ++runs[{edge_tracks, policy}];
+                    if (policy != sched::Policy::Lst) {
+                        EXPECT_TRUE(at_edge.identicalTo(
+                            sched::referenceSchedule(model, opts, s.wl,
+                                                     edge)))
+                            << label;
+                    }
+
+                    const auto peak = static_cast<double>(
+                        at_edge.peakOccupancyBytes());
+                    ASSERT_LE(peak, bound) << label;
+                    if (!edge_tracks && peak == bound)
+                        continue;
+                    const double other_bytes =
+                        edge_tracks ? bound : pp ? bound - 1.0 : peak;
+                    const Schedule other = scheduler.schedule(
+                        s.wl,
+                        edgeHda(static_cast<std::uint64_t>(other_bytes)),
+                        table);
+                    ++runs[{!edge_tracks, policy}];
+                    EXPECT_TRUE(other.identicalTo(at_edge)) << label;
+                }
+            }
+        }
+    }
+    for (auto policy : {sched::Policy::Fifo, sched::Policy::Edf,
+                        sched::Policy::Lst}) {
+        EXPECT_GT((runs[{false, policy}]), 0) << sched::toString(policy);
+        EXPECT_GT((runs[{true, policy}]), 0) << sched::toString(policy);
+    }
 }
 
 /** FNV-1a over the bit patterns of every entry's start and end. */
