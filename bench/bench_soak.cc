@@ -14,7 +14,10 @@
  *
  * Emits machine-readable JSON (default BENCH_soak.json) with serving
  * throughput (layers/sec), p50/p99/p99.9 frame latency, and the SLA
- * counters, so successive PRs can track serving capacity.
+ * counters, so successive PRs can track serving capacity. The
+ * throughput is the fastest of as many identical streams as it takes
+ * to time at least 0.3 s of serving (one for the full run, about ten
+ * for --small); memory, counters and gauges come from the first.
  *
  * Usage:
  *   bench_soak [--small] [--out FILE] [--rss-slack-mb MB]
@@ -31,6 +34,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
@@ -50,6 +54,9 @@ namespace
 
 using namespace herald;
 using Clock = std::chrono::steady_clock;
+
+/** Serving time the throughput figure must rest on, in total. */
+constexpr double kMinTimedSeconds = 0.3;
 
 double
 secondsSince(Clock::time_point start)
@@ -218,18 +225,41 @@ main(int argc, char **argv)
         }
     }
     eng.drain();
-    const double seconds = secondsSince(start);
+    double seconds = secondsSince(start);
     const double rss_final_mb = maxRssMb();
     const double rss_growth_mb = rss_final_mb - rss_warmup_mb;
-
     const sched::OnlineStats st = eng.stats();
+
+    // The small stream serves in a few tens of milliseconds, too short
+    // for a throughput gate to rise above timer and scheduler noise.
+    // Replay the identical stream on fresh engines until the timed
+    // work reaches kMinTimedSeconds and keep the fastest pass: other
+    // tenants of a shared host only ever slow a pass down.
+    std::uint64_t repeats = 1;
+    for (double timed = seconds; timed < kMinTimedSeconds; ++repeats) {
+        src.reset();
+        sched::OnlineScheduler again(model, src.models(), acc, oopts);
+        const Clock::time_point t0 = Clock::now();
+        while (!src.exhausted()) {
+            const sched::ArrivalSource::Frame f = src.next();
+            again.submit(f.streamIdx, f.arrivalCycle, f.deadlineCycle);
+        }
+        again.drain();
+        const double pass = secondsSince(t0);
+        if (again.stats().committedLayers != st.committedLayers)
+            util::panic("bench_soak: a replayed stream committed ",
+                        again.stats().committedLayers, " layers, not ",
+                        st.committedLayers);
+        seconds = std::min(seconds, pass);
+        timed += pass;
+    }
     const double layers_per_sec =
         static_cast<double>(st.committedLayers) / seconds;
 
-    std::printf("%" PRIu64 " frames (%" PRIu64 " layers) in %.2f s "
-                "— %.0f layers/sec\n",
+    std::printf("%" PRIu64 " frames (%" PRIu64 " layers) in %.4f s "
+                "(fastest of %" PRIu64 ") — %.0f layers/sec\n",
                 st.submittedFrames, st.committedLayers, seconds,
-                layers_per_sec);
+                repeats, layers_per_sec);
     std::printf("completed %" PRIu64 ", dropped %" PRIu64
                 ", rejected %" PRIu64 ", misses %" PRIu64
                 " (rate %.4f)\n",
@@ -260,7 +290,8 @@ main(int argc, char **argv)
         "  \"mode\": \"%s\",\n"
         "  \"frames_submitted\": %" PRIu64 ",\n"
         "  \"layers_committed\": %" PRIu64 ",\n"
-        "  \"elapsed_seconds\": %.3f,\n"
+        "  \"elapsed_seconds\": %.4f,\n"
+        "  \"repeats\": %" PRIu64 ",\n"
         "  \"layers_per_sec\": %.1f,\n"
         "  \"p50_latency_ms\": %.4f,\n"
         "  \"p99_latency_ms\": %.4f,\n"
@@ -276,7 +307,7 @@ main(int argc, char **argv)
         ", \"retired_entries\": %" PRIu64 "}\n"
         "}\n",
         small ? "small" : "full", st.submittedFrames,
-        st.committedLayers, seconds, layers_per_sec,
+        st.committedLayers, seconds, repeats, layers_per_sec,
         jsonSafeMs(st.p50LatencyCycles),
         jsonSafeMs(st.p99LatencyCycles),
         jsonSafeMs(st.p999LatencyCycles), st.completedFrames,

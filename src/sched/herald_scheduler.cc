@@ -323,7 +323,9 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     // amortized O(log n) — no per-layer scan over all live frames.
     // A frame whose own ready time (dependence chain) outruns the
     // shared floor is re-tested individually right after it is
-    // scheduled, the only moment its ready time changes.
+    // scheduled, the only moment its ready time changes. Its stored
+    // key is left as it was: a lower bound the sweep refreshes (see
+    // sweep_doomed).
     std::vector<std::size_t> uid;
     std::set<std::pair<double, std::size_t>> doom_set;
     std::vector<double> doom_key;
@@ -407,6 +409,10 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     // (dead columns masked once the floor passes their onsets),
     // which is sound: the mask only ever contains sub-accelerators
     // already unusable at every cycle >= the frame's "now".
+    auto doom_key_of = [&](std::size_t idx) {
+        return instances[idx].deadlineCycle -
+               rem_cycles(uid[idx], next_layer[idx]);
+    };
     auto doomed_now = [&](std::size_t idx, double now_floor) {
         const workload::Instance &ri = instances[idx];
         if (!ri.hasDeadline())
@@ -414,6 +420,18 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         double now = std::max(ready_time[idx], now_floor);
         double rem = rem_cycles(uid[idx], next_layer[idx]);
         return now + rem > ri.deadlineCycle + kEps;
+    };
+    // Recompute every doom key, moving the set's nodes.
+    auto rekey_doom_set = [&]() {
+        std::set<std::pair<double, std::size_t>> rekeyed;
+        while (!doom_set.empty()) {
+            auto node = doom_set.extract(doom_set.begin());
+            const std::size_t idx = node.value().second;
+            doom_key[idx] = doom_key_of(idx);
+            node.value().first = doom_key[idx];
+            rekeyed.insert(std::move(node));
+        }
+        doom_set.swap(rekeyed);
     };
     // Fold permanent failures whose onset the availability floor has
     // passed into the degraded view, re-keying the doom set against
@@ -430,16 +448,29 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         if (!changed)
             return;
         degraded->rebuild(dead_mask);
-        if (!doom_drop)
-            return;
-        std::set<std::pair<double, std::size_t>> rekeyed;
-        for (const auto &entry : doom_set) {
-            const std::size_t idx = entry.second;
-            doom_key[idx] = instances[idx].deadlineCycle -
-                            rem_cycles(uid[idx], next_layer[idx]);
-            rekeyed.emplace(doom_key[idx], idx);
+        if (doom_drop)
+            rekey_doom_set();
+    };
+    // Shed every doom-set frame whose true key fell below the floor.
+    // Stored keys are lower bounds on the true keys (remaining work
+    // never grows as a frame progresses, and the only events that
+    // can raise it re-key the whole set), so the sweep drops exactly
+    // the frames an eagerly re-keyed set would; the proof is at
+    // OnlineScheduler::sweepDoomed.
+    auto sweep_doomed = [&](double floor) {
+        while (!doom_set.empty() &&
+               doom_set.begin()->first < floor - kEps) {
+            const std::size_t idx = doom_set.begin()->second;
+            const double key = doom_key_of(idx);
+            if (key < floor - kEps) {
+                drop_live(idx);
+                continue;
+            }
+            auto node = doom_set.extract(doom_set.begin());
+            node.value().first = key;
+            doom_key[idx] = key;
+            doom_set.insert(std::move(node));
         }
-        doom_set.swap(rekeyed);
     };
 
     // Released instances with pending layers live in the policy's
@@ -449,28 +480,29 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     // DoomedFrames a frame is doom-tested the moment it is released
     // (its arrival may already be inside a backlog) and tracked in
     // the doom set afterwards.
-    auto release_inst = [&](std::size_t idx) {
+    // @p floor is min_avail(), read once by the caller: releases
+    // never move acc_avail.
+    auto release_inst = [&](std::size_t idx, double floor) {
         if (!pending(idx))
             return;
         policy->release(idx);
         if (!doom_drop || !instances[idx].hasDeadline())
             return;
-        if (doomed_now(idx, min_avail())) {
+        if (doomed_now(idx, floor)) {
             drop_live(idx);
             return;
         }
-        doom_key[idx] = instances[idx].deadlineCycle -
-                        rem_cycles(uid[idx], next_layer[idx]);
+        doom_key[idx] = doom_key_of(idx);
         doom_set.emplace(doom_key[idx], idx);
         in_doom[idx] = 1;
     };
-    auto release_up_to = [&](double frontier) {
+    auto release_up_to = [&](double frontier, double floor) {
         while (cursor < n_inst) {
             std::size_t idx = arrival_sorted[cursor];
             if (instances[idx].arrivalCycle > frontier + kEps)
                 break;
             ++cursor;
-            release_inst(idx);
+            release_inst(idx, floor);
         }
     };
     // Preemptive release: everything arriving strictly before the
@@ -478,13 +510,13 @@ HeraldScheduler::schedule(const workload::Workload &wl,
     // called only when at least one such arrival is strictly more
     // urgent than the planned instance, so FIFO (constant key) and
     // deadline-free frames never trigger it.
-    auto release_window = [&](double end) {
+    auto release_window = [&](double end, double floor) {
         while (cursor < n_inst) {
             std::size_t idx = arrival_sorted[cursor];
             if (instances[idx].arrivalCycle >= end - kEps)
                 break;
             ++cursor;
-            release_inst(idx);
+            release_inst(idx, floor);
         }
     };
 
@@ -825,16 +857,8 @@ HeraldScheduler::schedule(const workload::Workload &wl,
             if (any_dead)
                 degraded->rebuild(dead_mask);
         }
-        if (doom_drop) {
-            std::set<std::pair<double, std::size_t>> rekeyed;
-            for (const auto &entry : doom_set) {
-                const std::size_t idx = entry.second;
-                doom_key[idx] = instances[idx].deadlineCycle -
-                                rem_cycles(uid[idx], next_layer[idx]);
-                rekeyed.emplace(doom_key[idx], idx);
-            }
-            doom_set.swap(rekeyed);
-        }
+        if (doom_drop)
+            rekey_doom_set();
 
         acc_avail[d.donor] = window_end;
         acc_avail[d.receiver] = window_end;
@@ -850,10 +874,10 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         ev.peSplit = epoch.peSplit;
         schedule.addReconfig(ev);
         reconfig_policy->onMigration(window_end);
-        release_up_to(release_frontier);
+        release_up_to(release_frontier, min_avail());
     };
 
-    release_up_to(release_frontier);
+    release_up_to(release_frontier, min_avail());
 
     while (remaining > 0) {
         // --- Layer ordering heuristic: pick the next instance ---
@@ -907,7 +931,7 @@ HeraldScheduler::schedule(const workload::Workload &wl,
                 }
                 if (!urgent)
                     break;
-                release_window(end);
+                release_window(end, min_avail());
                 // Under DoomedFrames a release can shed frames.
                 // Today a preemptively released frame can never be
                 // shed here (its arrival exceeds the committed
@@ -979,31 +1003,22 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         }
         rotate = (inst + 1) % n_inst;
         grant = inst;
+        // acc_avail is final for this commit: one floor serves the
+        // re-test, the releases and the sweep below, all of which
+        // read it only under DoomedFrames.
+        const double floor = doom_drop ? min_avail() : 0.0;
 
         if (pending(inst)) {
             // Progress may change the policy's key (LST slack). A
             // kill makes no progress, so the key is unchanged.
             if (!killed)
                 policy->onLayerScheduled(inst);
-            if (doom_drop && in_doom[inst]) {
-                // Progress also moved the frame's ready time and
-                // shrank its remaining work: re-test it directly
-                // (the shared floor sweep below cannot see a ready
-                // time that outruns the floor), else re-key its
-                // doom-set entry. A kill advances the ready time
-                // without shrinking the work — the re-test still
-                // applies, the re-key would be a no-op.
-                if (doomed_now(inst, min_avail())) {
-                    drop_live(inst);
-                } else if (!killed) {
-                    doom_set.erase(
-                        std::make_pair(doom_key[inst], inst));
-                    doom_key[inst] =
-                        instances[inst].deadlineCycle -
-                        rem_cycles(uid[inst], next_layer[inst]);
-                    doom_set.emplace(doom_key[inst], inst);
-                }
-            }
+            // Progress also moved the frame's ready time: re-test it
+            // directly (the shared floor sweep below cannot see a
+            // ready time that outruns the floor). Its doom key stays
+            // a valid lower bound, so it is not re-keyed here.
+            if (doom_drop && in_doom[inst] && doomed_now(inst, floor))
+                drop_live(inst);
         } else {
             // Exhausted: drop it from the ready set. (A one-layer
             // model exhausted by the fallback before its release was
@@ -1016,7 +1031,7 @@ HeraldScheduler::schedule(const workload::Workload &wl,
                 in_doom[inst] = 0;
             }
         }
-        release_up_to(release_frontier);
+        release_up_to(release_frontier, floor);
 
         // --- Doomed-frame sweep ---
         // The floor (earliest any sub-accelerator frees up) only
@@ -1025,13 +1040,9 @@ HeraldScheduler::schedule(const workload::Workload &wl,
         // time under any continuation — shed them now rather than
         // letting them burn cycles the still-savable frames need.
         if (doom_drop) {
-            const double floor = min_avail();
             if (degraded)
                 refresh_degraded(floor);
-            while (!doom_set.empty() &&
-                   doom_set.begin()->first < floor - kEps) {
-                drop_live(doom_set.begin()->second);
-            }
+            sweep_doomed(floor);
         }
 
         // Elastic repartitioning: one policy evaluation per

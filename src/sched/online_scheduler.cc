@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "util/logging.hh"
 
@@ -164,13 +165,13 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
 OnlineScheduler::Frame &
 OnlineScheduler::frameAt(std::size_t idx)
 {
-    return win[idx - winBase];
+    return win[idx - winOff];
 }
 
 const OnlineScheduler::Frame &
 OnlineScheduler::frameAt(std::size_t idx) const
 {
-    return win[idx - winBase];
+    return win[idx - winOff];
 }
 
 bool
@@ -233,8 +234,10 @@ OnlineScheduler::readyRekey(std::size_t idx)
     const double key = keyOf(idx);
     if (key == f.currentKey)
         return;
-    ready.erase(std::make_pair(f.currentKey, idx));
-    ready.emplace(key, idx);
+    // Move the node to its new key: no free, no allocation.
+    auto node = ready.extract(std::make_pair(f.currentKey, idx));
+    node.value().first = key;
+    ready.insert(std::move(node));
     f.currentKey = key;
 }
 
@@ -282,9 +285,9 @@ OnlineScheduler::retirementFloor() const
     // max(nextAvailable, P) bounds every future start — and it keeps
     // advancing with the stream even on a lopsided accelerator mix.
     double p = draining ? kNeverCycle : std::max(watermark, 0.0);
-    for (const Frame &f : win)
-        if (!f.finished)
-            p = std::min(p, f.readyTime);
+    for (std::size_t i = winBase - winOff; i < win.size(); ++i)
+        if (!win[i].finished)
+            p = std::min(p, win[i].readyTime);
     const FaultTimeline &faults = opts.sched.faults;
     double floor = kNeverCycle;
     for (std::size_t a = 0; a < nAcc; ++a) {
@@ -294,6 +297,12 @@ OnlineScheduler::retirementFloor() const
         floor = std::min(floor, std::max(avail, p));
     }
     return floor;
+}
+
+double
+OnlineScheduler::doomKeyOf(const Frame &f) const
+{
+    return f.deadline - remCyclesRun(f.uid, f.nextLayer);
 }
 
 bool
@@ -320,15 +329,62 @@ OnlineScheduler::refreshDegraded(double floor)
     if (!changed)
         return;
     runView->rebuild(deadMask);
+    // Remaining work can only grow here, so the stored lower bounds
+    // may no longer be bounds: recompute every key.
+    rekeyDoomSet();
+}
+
+void
+OnlineScheduler::rekeyDoomSet()
+{
     std::set<std::pair<double, std::size_t>> rekeyed;
-    for (const auto &entry : doomSet) {
-        const std::size_t idx = entry.second;
-        Frame &f = frameAt(idx);
-        f.doomKey =
-            f.deadline - remCyclesRun(f.uid, f.nextLayer);
-        rekeyed.emplace(f.doomKey, idx);
+    while (!doomSet.empty()) {
+        auto node = doomSet.extract(doomSet.begin());
+        Frame &f = frameAt(node.value().second);
+        f.doomKey = doomKeyOf(f);
+        node.value().first = f.doomKey;
+        rekeyed.insert(std::move(node));
     }
     doomSet.swap(rekeyed);
+}
+
+void
+OnlineScheduler::sweepDoomed(double floor)
+{
+    // Every stored doom key is a lower bound on the frame's true key
+    // deadline - remCyclesRun(uid, nextLayer). The remaining-work
+    // suffix sums (LayerCostTable::foldRows, DegradedView::rebuild)
+    // are right-to-left folds rem[l] = rem[l+1] + c[l] of
+    // non-negative addends, and round-to-nearest is monotone, so
+    // rem[l] >= rem[l+1] bit for bit: as nextLayer advances the true
+    // key never falls. Only a rebuilt run view or a new epoch table
+    // can lower it, and refreshDegraded / maybeReconfigure recompute
+    // every key then. So commit() need not re-key a frame that stays
+    // live; the sweep refreshes the front instead.
+    //
+    // A frame is dropped iff its true key is below floor - kEps, as
+    // with eagerly re-keyed entries: a stored key at or above the
+    // bound implies a true key there too, and a front entry under it
+    // is re-tested on its true key, then either dropped or moved to
+    // that key (each frame moves at most once per sweep, since its
+    // key is then exact and clears the bound). Only the order of the
+    // drops inside one sweep can differ, and dropLive's effects
+    // commute: Schedule::markDropped is a sorted insert, the counters
+    // are sums, and readyRetire / the doom-set erase touch only the
+    // frame's own nodes.
+    while (!doomSet.empty() && doomSet.begin()->first < floor - kEps) {
+        const std::size_t idx = doomSet.begin()->second;
+        Frame &f = frameAt(idx);
+        const double key = doomKeyOf(f);
+        if (key < floor - kEps) {
+            dropLive(idx);
+            continue;
+        }
+        auto node = doomSet.extract(doomSet.begin());
+        node.value().first = key;
+        f.doomKey = key;
+        doomSet.insert(std::move(node));
+    }
 }
 
 void
@@ -386,8 +442,10 @@ OnlineScheduler::dropLive(std::size_t idx)
     maxLatency = workload::kNoDeadline;
 }
 
+// @p floor is minAvail(), read by the caller: releases never move
+// accAvail, so one read serves a whole release sweep.
 void
-OnlineScheduler::releaseInst(std::size_t idx)
+OnlineScheduler::releaseInst(std::size_t idx, double floor)
 {
     Frame &f = frameAt(idx);
     if (!pending(f))
@@ -395,17 +453,17 @@ OnlineScheduler::releaseInst(std::size_t idx)
     readyRelease(idx);
     if (!doomDrop || f.deadline == workload::kNoDeadline)
         return;
-    if (doomedNow(idx, minAvail())) {
+    if (doomedNow(idx, floor)) {
         dropLive(idx);
         return;
     }
-    f.doomKey = f.deadline - remCyclesRun(f.uid, f.nextLayer);
+    f.doomKey = doomKeyOf(f);
     doomSet.emplace(f.doomKey, idx);
     f.inDoom = true;
 }
 
 void
-OnlineScheduler::releaseUpTo(double frontier)
+OnlineScheduler::releaseUpTo(double frontier, double floor)
 {
     const std::size_t total = totalFrames();
     while (cursor < total) {
@@ -413,12 +471,12 @@ OnlineScheduler::releaseUpTo(double frontier)
         if (frameAt(idx).arrival > frontier + kEps)
             break;
         ++cursor;
-        releaseInst(idx);
+        releaseInst(idx, floor);
     }
 }
 
 void
-OnlineScheduler::releaseWindow(double end)
+OnlineScheduler::releaseWindow(double end, double floor)
 {
     const std::size_t total = totalFrames();
     while (cursor < total) {
@@ -426,7 +484,7 @@ OnlineScheduler::releaseWindow(double end)
         if (frameAt(idx).arrival >= end - kEps)
             break;
         ++cursor;
-        releaseInst(idx);
+        releaseInst(idx, floor);
     }
 }
 
@@ -781,20 +839,19 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     // where "past the end" and "index 0" pick the same element.
     rotate = inst + 1;
     grant = inst;
+    // accAvail is final for this commit: one floor serves the re-test,
+    // the releases and the sweep below, all of which read it only
+    // under DoomedFrames.
+    const double floor = doomDrop ? minAvail() : 0.0;
 
     if (pending(f)) {
         if (!killed && policyKind == Policy::Lst)
             readyRekey(inst); // LstPolicy::onLayerScheduled
-        if (doomDrop && f.inDoom) {
-            if (doomedNow(inst, minAvail())) {
-                dropLive(inst);
-            } else if (!killed) {
-                doomSet.erase(std::make_pair(f.doomKey, inst));
-                f.doomKey =
-                    f.deadline - remCyclesRun(f.uid, f.nextLayer);
-                doomSet.emplace(f.doomKey, inst);
-            }
-        }
+        // The ready time moved: re-test directly (the floor sweep
+        // cannot see a ready time that outruns the floor). The doom
+        // key stays as stored — still a lower bound (sweepDoomed).
+        if (doomDrop && f.inDoom && doomedNow(inst, floor))
+            dropLive(inst);
     } else {
         readyRetire(inst);
         if (doomDrop && f.inDoom) {
@@ -803,16 +860,12 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         }
         finishFrame(inst);
     }
-    releaseUpTo(releaseFrontier);
+    releaseUpTo(releaseFrontier, floor);
 
     if (doomDrop) {
-        const double floor = minAvail();
         if (runView)
             refreshDegraded(floor);
-        while (!doomSet.empty() &&
-               doomSet.begin()->first < floor - kEps) {
-            dropLive(doomSet.begin()->second);
-        }
+        sweepDoomed(floor);
     }
 
     // Elastic repartitioning rides the committed-layer sequence (see
@@ -872,17 +925,8 @@ OnlineScheduler::maybeReconfigure()
         if (any_dead)
             runView->rebuild(deadMask);
     }
-    if (doomDrop) {
-        std::set<std::pair<double, std::size_t>> rekeyed;
-        for (const auto &entry : doomSet) {
-            const std::size_t idx = entry.second;
-            Frame &f = frameAt(idx);
-            f.doomKey =
-                f.deadline - remCyclesRun(f.uid, f.nextLayer);
-            rekeyed.emplace(f.doomKey, idx);
-        }
-        doomSet.swap(rekeyed);
-    }
+    if (doomDrop)
+        rekeyDoomSet();
 
     accAvail[d.donor] = window_end;
     accAvail[d.receiver] = window_end;
@@ -898,7 +942,7 @@ OnlineScheduler::maybeReconfigure()
     ev.peSplit = epoch.peSplit;
     sched.addReconfig(ev);
     reconfigPolicy->onMigration(window_end);
-    releaseUpTo(releaseFrontier);
+    releaseUpTo(releaseFrontier, minAvail());
 }
 
 bool
@@ -952,7 +996,7 @@ OnlineScheduler::tryStep()
             if (hysteresis && selInst == grant)
                 threshold -= opts.sched.lstHysteresisCycles;
             if (urgentExists(end, threshold)) {
-                releaseWindow(end);
+                releaseWindow(end, minAvail());
                 selInst = SIZE_MAX;
                 continue;
             }
@@ -1033,13 +1077,22 @@ OnlineScheduler::maintenance()
     // released — but releasing a finished frame is a no-op, so the
     // cursor and the horizon scan just fast-forward past the popped
     // prefix instead of indexing below the window base.
-    while (!win.empty() && win.front().finished &&
-           win.front().lastEnd <= floor) {
-        win.pop_front();
+    const std::size_t total = totalFrames();
+    while (winBase < total && frameAt(winBase).finished &&
+           frameAt(winBase).lastEnd <= floor)
         ++winBase;
-    }
     cursor = std::max(cursor, winBase);
     liveScan = std::max(liveScan, winBase);
+    // Compact once the popped prefix is more than half the vector:
+    // the erase moves fewer frames than it frees, so popping stays
+    // amortised O(1) per frame and the vector O(live window). Callers
+    // hold no Frame& across this call.
+    const std::size_t popped = winBase - winOff;
+    if (2 * popped > win.size()) {
+        win.erase(win.begin(),
+                  win.begin() + static_cast<std::ptrdiff_t>(popped));
+        winOff = winBase;
+    }
 }
 
 // ------------------------------------------------------------------
@@ -1147,7 +1200,8 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         ++ms.deadlineMisses;
         ++latInfCount;
         maxLatency = workload::kNoDeadline;
-        releaseUpTo(releaseFrontier); // sweep the cursor past it
+        // Sweep the cursor past it.
+        releaseUpTo(releaseFrontier, minAvail());
         pump();
         // Admission drops commit nothing, so they must count toward
         // maintenance themselves: a flood of hopeless frames would
@@ -1160,7 +1214,7 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
     win.push_back(f);
     ++liveFrames;
     liveRemaining += f.numLayers;
-    releaseUpTo(releaseFrontier);
+    releaseUpTo(releaseFrontier, minAvail());
     pump();
     return SubmitResult::Accepted;
 }
@@ -1240,7 +1294,7 @@ OnlineScheduler::stats() const
     s.p99LatencyCycles = latencyPercentile(0.99);
     s.p999LatencyCycles = latencyPercentile(0.999);
     s.maxLatencyCycles = maxLatency;
-    s.windowFrames = win.size();
+    s.windowFrames = totalFrames() - winBase;
     s.readyFrames = ready.size();
     s.liveEntries = sched.entries().size();
     s.liveIntervals = memory.liveIntervals();

@@ -45,7 +45,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <set>
@@ -250,6 +249,12 @@ class OnlineScheduler
         double readyTime = 0.0;    //!< dependence-chain frontier
         double lastEnd = 0.0;      //!< latest committed end cycle
         double currentKey = 0.0;   //!< ready-set key at insertion
+        /**
+         * Stored lower bound on the frame's doom-set key, deadline -
+         * remCyclesRun(uid, nextLayer), which only rises as the frame
+         * progresses. commit() leaves it stale; the sweep refreshes
+         * it when it reaches the front (see sweepDoomed).
+         */
         double doomKey = 0.0;
         bool member = false; //!< in the ready set
         bool inDoom = false; //!< in the doom set
@@ -332,8 +337,17 @@ class OnlineScheduler
     bool reconfigPending = false;
 
     // --- Sliding frame window ---
-    std::deque<Frame> win;
-    std::size_t winBase = 0; //!< global index of win.front()
+    /**
+     * Frame states in global index order: win[i] is frame winOff + i.
+     * Popping a frame only advances winBase; maintenance() erases the
+     * popped prefix once it is more than half the vector, so a lookup
+     * is one subtraction and memory stays O(live window), amortised.
+     * The vector reallocates on submit()'s push_back and shifts on
+     * that compaction: no Frame& is ever held across either.
+     */
+    std::vector<Frame> win;
+    std::size_t winOff = 0;  //!< global index of win[0]
+    std::size_t winBase = 0; //!< global index of the oldest unpopped frame
 
     // --- Dispatch-loop state (ports of the offline locals) ---
     /** False when the buffer cannot bind (maxBufferDemand). */
@@ -375,7 +389,7 @@ class OnlineScheduler
     // --- Window / policy helpers ---
     Frame &frameAt(std::size_t idx);
     const Frame &frameAt(std::size_t idx) const;
-    std::size_t totalFrames() const { return winBase + win.size(); }
+    std::size_t totalFrames() const { return winOff + win.size(); }
     bool pending(const Frame &f) const;
     bool isReadyMember(std::size_t idx) const;
     double keyOf(std::size_t idx) const;
@@ -387,12 +401,15 @@ class OnlineScheduler
     double remCyclesRun(std::size_t uid, std::size_t layer) const;
     double minAvail() const;
     double retirementFloor() const;
+    double doomKeyOf(const Frame &f) const;
     bool doomedNow(std::size_t idx, double now_floor) const;
+    void rekeyDoomSet();
     void refreshDegraded(double floor);
+    void sweepDoomed(double floor);
     void dropLive(std::size_t idx);
-    void releaseInst(std::size_t idx);
-    void releaseUpTo(double frontier);
-    void releaseWindow(double end);
+    void releaseInst(std::size_t idx, double floor);
+    void releaseUpTo(double frontier, double floor);
+    void releaseWindow(double end, double floor);
     bool placeOn(std::size_t a, double earliest, double base_cycles,
                  double penalty, double bytes, Plan &out) const;
     Plan planLayer(std::size_t inst) const;
