@@ -665,7 +665,7 @@ OnlineScheduler::selectReadyIdx() const
 }
 
 std::size_t
-OnlineScheduler::selectFutureIdx(bool &stall) const
+OnlineScheduler::selectFutureIdx(bool &stall)
 {
     stall = false;
     const std::size_t total = totalFrames();
@@ -688,8 +688,10 @@ OnlineScheduler::selectFutureIdx(bool &stall) const
     // component: any frame past a > kEps arrival gap can never
     // displace a component member under the scan's tolerance rule.
     // Bounding the walk here is what makes the step incremental.
-    std::vector<std::size_t> run;  // arrival == m exactly
-    std::vector<std::size_t> comp; // epsilon-chained component
+    std::vector<std::size_t> &run = futureRun;
+    std::vector<std::size_t> &comp = futureComp;
+    run.clear();
+    comp.clear();
     bool near_tie = false;
     bool tie_known = false;
     double chain_end = m;

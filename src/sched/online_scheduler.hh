@@ -364,6 +364,9 @@ class OnlineScheduler
     std::size_t selInst = SIZE_MAX; //!< resumable selection state
     double releaseFrontier = 0.0;
     std::uint64_t liveRemaining = 0; //!< pending layers, live frames
+    /** selectFutureIdx scratch, reused across calls. */
+    std::vector<std::size_t> futureRun;  //!< arrival == band exactly
+    std::vector<std::size_t> futureComp; //!< epsilon-chained component
 
     // --- Stream state ---
     double watermark = -1.0; //!< latest admitted arrival
@@ -414,7 +417,7 @@ class OnlineScheduler
                  double penalty, double bytes, Plan &out) const;
     Plan planLayer(std::size_t inst) const;
     std::size_t selectReadyIdx() const;
-    std::size_t selectFutureIdx(bool &stall) const;
+    std::size_t selectFutureIdx(bool &stall);
     bool urgentExists(double end, double threshold) const;
     void commit(std::size_t inst, const Plan &plan);
     void maybeReconfigure();

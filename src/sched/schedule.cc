@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "sched/fault_model.hh"
@@ -14,6 +15,364 @@ namespace herald::sched
 namespace
 {
 constexpr double kEps = 1e-6;
+
+/**
+ * Call @p f with a zero of the narrowest index type that can name
+ * each of @p n entries and still keep its maximum free as a "none"
+ * marker: 32 bits below 2^32 - 1 entries (half the memory of the
+ * index arrays), std::size_t above.
+ */
+template <typename F>
+decltype(auto)
+withIndexType(std::size_t n, F &&f)
+{
+    if (n < std::numeric_limits<std::uint32_t>::max())
+        return f(std::uint32_t{0});
+    return f(std::size_t{0});
+}
+
+std::int64_t
+footprint(const ScheduledLayer &e)
+{
+    return static_cast<std::int64_t>(e.l2FootprintBytes);
+}
+
+/**
+ * Entry indices by start, then footprint ascending: the order of the
+ * claims in a (time, delta)-sorted buffer sweep. The index breaks the
+ * remaining ties, so the order is total.
+ */
+template <typename Index>
+std::vector<Index>
+claimOrder(const std::vector<ScheduledLayer> &list)
+{
+    std::vector<Index> order(list.size());
+    std::iota(order.begin(), order.end(), Index{0});
+    std::sort(order.begin(), order.end(), [&](Index x, Index y) {
+        const ScheduledLayer &a = list[x];
+        const ScheduledLayer &b = list[y];
+        if (a.startCycle != b.startCycle)
+            return a.startCycle < b.startCycle;
+        if (a.l2FootprintBytes != b.l2FootprintBytes)
+            return a.l2FootprintBytes < b.l2FootprintBytes;
+        return x < y;
+    });
+    return order;
+}
+
+/** Entry indices by end, then footprint descending: the releases. */
+template <typename Index>
+std::vector<Index>
+releaseOrder(const std::vector<ScheduledLayer> &list)
+{
+    std::vector<Index> order(list.size());
+    std::iota(order.begin(), order.end(), Index{0});
+    std::sort(order.begin(), order.end(), [&](Index x, Index y) {
+        const ScheduledLayer &a = list[x];
+        const ScheduledLayer &b = list[y];
+        if (a.endCycle != b.endCycle)
+            return a.endCycle < b.endCycle;
+        if (a.l2FootprintBytes != b.l2FootprintBytes)
+            return a.l2FootprintBytes > b.l2FootprintBytes;
+        return x < y;
+    });
+    return order;
+}
+
+/**
+ * Global-buffer sweep: merge the claim and release orders, releases
+ * first at equal times. That is the order of the 2n events
+ * (time, +-footprint) sorted by time then delta — releases carry
+ * deltas <= 0, claims >= 0 — up to swaps of equal events, so every
+ * running occupancy is the same. Calls @p visit(time, occupancy)
+ * after each event until it returns false.
+ */
+template <typename Index, typename Visit>
+void
+sweepBuffer(const std::vector<ScheduledLayer> &list,
+            const std::vector<Index> &claims,
+            const std::vector<Index> &releases, Visit &&visit)
+{
+    std::int64_t occupancy = 0;
+    std::size_t c = 0;
+    std::size_t r = 0;
+    while (c < claims.size() || r < releases.size()) {
+        if (r < releases.size() &&
+            (c == claims.size() || list[releases[r]].endCycle <=
+                                       list[claims[c]].startCycle)) {
+            const ScheduledLayer &e = list[releases[r++]];
+            occupancy -= footprint(e);
+            if (!visit(e.endCycle, occupancy))
+                return;
+        } else {
+            const ScheduledLayer &e = list[claims[c++]];
+            occupancy += footprint(e);
+            if (!visit(e.startCycle, occupancy))
+                return;
+        }
+    }
+}
+
+/**
+ * Schedule::validate past its arity checks. The (instance, layer)
+ * lookups go through one dense slot array — instance i owns slots
+ * [base[i], base[i + 1]), one per model layer — holding the index of
+ * the entry that executed it (killed attempts excluded) or @c kNone.
+ * The overlap check walks the claim order, comparing each entry with
+ * the previous one on its sub-accelerator; the buffer check merges it
+ * with the release order. The checks run, and report, in the order
+ * and with the text of the original map-based checker.
+ */
+template <typename Index>
+std::string
+checkEntries(const Schedule &s, const workload::Workload &wl,
+             const accel::Accelerator &acc, const FaultTimeline *faults)
+{
+    constexpr Index kNone = std::numeric_limits<Index>::max();
+    const std::vector<ScheduledLayer> &list = s.entries();
+    const std::size_t num_accs = s.numSubAccs();
+    const std::size_t num_insts = wl.numInstances();
+    std::ostringstream err;
+
+    // Dropped frames are intentionally incomplete: a frame shed at
+    // admission has no layers at all, a frame shed mid-schedule
+    // (dynamic doomed-frame drop) keeps the prefix it had already
+    // committed — in either case the scheduled layers must form a
+    // dependence-chain prefix, and completeness is judged on the
+    // remainder.
+    for (std::size_t d : s.droppedInstances()) {
+        if (d >= num_insts) {
+            err << "dropped instance " << d << " out of range";
+            return err.str();
+        }
+    }
+
+    // Completeness: every non-dropped (instance, layer) exactly
+    // once; dropped instances contribute a (possibly empty) prefix.
+    // Fault-killed entries are wasted attempts, not executions: they
+    // are excluded from uniqueness/completeness and checked against
+    // the fault timeline separately below.
+    std::vector<std::size_t> base(num_insts + 1, 0);
+    for (std::size_t i = 0; i < num_insts; ++i)
+        base[i + 1] = base[i] + wl.modelOf(i).numLayers();
+    std::vector<Index> slot(base[num_insts], kNone);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        const ScheduledLayer &e = list[i];
+        if (e.instanceIdx >= num_insts) {
+            err << "entry references instance " << e.instanceIdx
+                << " out of range";
+            return err.str();
+        }
+        const dnn::Model &model = wl.modelOf(e.instanceIdx);
+        if (e.layerIdx >= model.numLayers()) {
+            err << "entry references layer " << e.layerIdx
+                << " out of range for " << model.name();
+            return err.str();
+        }
+        if (e.faultKilled) {
+            if (!faults) {
+                err << "fault-killed entry (instance "
+                    << e.instanceIdx << " layer " << e.layerIdx
+                    << ") without a fault timeline";
+                return err.str();
+            }
+            continue;
+        }
+        Index &owner = slot[base[e.instanceIdx] + e.layerIdx];
+        if (owner != kNone) {
+            err << "duplicate entry for instance " << e.instanceIdx
+                << " layer " << e.layerIdx;
+            return err.str();
+        }
+        owner = static_cast<Index>(i);
+    }
+    auto executed = [&](std::size_t inst, std::size_t layer) {
+        return slot[base[inst] + layer];
+    };
+    // An instance's filled slots: how many, and the highest one.
+    auto filled = [&](std::size_t inst) {
+        std::size_t count = 0;
+        std::size_t last = 0;
+        for (std::size_t l = 0; l < base[inst + 1] - base[inst]; ++l) {
+            if (executed(inst, l) != kNone) {
+                ++count;
+                last = l;
+            }
+        }
+        return std::make_pair(count, last);
+    };
+    for (std::size_t i = 0; i < num_insts; ++i) {
+        const std::size_t expect = base[i + 1] - base[i];
+        const auto [count, last] = filled(i);
+        if (s.isDropped(i)) {
+            // Uniqueness holds, so "prefix" == the highest filled
+            // slot is count - 1.
+            if (count > 0 && last != count - 1) {
+                err << "dropped instance " << i << " scheduled "
+                    << count << " layers that are not a chain prefix";
+                return err.str();
+            }
+            if (count >= expect) {
+                err << "dropped instance " << i
+                    << " is fully scheduled";
+                return err.str();
+            }
+        } else if (count != expect) {
+            err << "instance " << i << " has " << count
+                << " scheduled layers, model has " << expect;
+            return err.str();
+        }
+    }
+
+    // Fault consistency: every entry stays clear of unavailable
+    // windows (killed entries end *at* the onset, which is exactly
+    // the boundary of availability), and every killed entry ends at
+    // a fault onset and precedes the re-execution of its layer.
+    if (faults) {
+        for (const ScheduledLayer &e : list) {
+            if (!faults->windowAvailable(e.accIdx, e.startCycle,
+                                         e.duration())) {
+                err << "instance " << e.instanceIdx << " layer "
+                    << e.layerIdx << " [" << e.startCycle << ", "
+                    << e.endCycle << ") overlaps an unavailable "
+                    << "window on sub-accelerator " << e.accIdx;
+                return err.str();
+            }
+        }
+        for (const ScheduledLayer &k : list) {
+            if (!k.faultKilled)
+                continue;
+            if (!faults->isFaultOnset(k.accIdx, k.endCycle)) {
+                err << "fault-killed entry (instance " << k.instanceIdx
+                    << " layer " << k.layerIdx << ") ends at "
+                    << k.endCycle
+                    << ", not at a fault onset on sub-accelerator "
+                    << k.accIdx;
+                return err.str();
+            }
+            const Index redo = executed(k.instanceIdx, k.layerIdx);
+            if (redo != kNone) {
+                if (list[redo].startCycle < k.endCycle - kEps) {
+                    err << "re-execution of instance " << k.instanceIdx
+                        << " layer " << k.layerIdx << " starts "
+                        << list[redo].startCycle
+                        << " before its killed attempt ends "
+                        << k.endCycle;
+                    return err.str();
+                }
+            } else if (!s.isDropped(k.instanceIdx)) {
+                err << "instance " << k.instanceIdx << " layer "
+                    << k.layerIdx << " was fault-killed but never "
+                    << "re-executed (and the frame is not dropped)";
+                return err.str();
+            } else if (k.layerIdx != filled(k.instanceIdx).first) {
+                // A dropped frame's unrecovered kill can only be the
+                // attempt at the first uncommitted layer.
+                err << "dropped instance " << k.instanceIdx
+                    << " has a killed attempt at layer " << k.layerIdx
+                    << " beyond its committed prefix";
+                return err.str();
+            }
+        }
+    }
+
+    // Reconfiguration windows are planned outages on the donor and
+    // receiver: no entry on either party may overlap one (a layer in
+    // flight at the window start would have been drained or killed).
+    for (const ReconfigEvent &w : s.reconfigEvents()) {
+        if (w.donor >= num_accs || w.receiver >= num_accs) {
+            err << "reconfig event references sub-accelerator out of "
+                << "range";
+            return err.str();
+        }
+        for (const ScheduledLayer &e : list) {
+            if (e.accIdx != w.donor && e.accIdx != w.receiver)
+                continue;
+            if (e.startCycle < w.endCycle - kEps &&
+                e.endCycle > w.startCycle + kEps) {
+                err << "instance " << e.instanceIdx << " layer "
+                    << e.layerIdx << " [" << e.startCycle << ", "
+                    << e.endCycle << ") overlaps reconfig window ["
+                    << w.startCycle << ", " << w.endCycle
+                    << ") on sub-accelerator " << e.accIdx;
+                return err.str();
+            }
+        }
+    }
+
+    // Arrival: no layer starts before its instance arrives.
+    for (const ScheduledLayer &e : list) {
+        double arrival = wl.instances()[e.instanceIdx].arrivalCycle;
+        if (e.startCycle < arrival - kEps) {
+            err << "arrival violation: instance " << e.instanceIdx
+                << " layer " << e.layerIdx << " starts "
+                << e.startCycle << " before arrival " << arrival;
+            return err.str();
+        }
+    }
+
+    // Dependence: layer l starts after layer l-1 of the same
+    // instance (killed attempts at layer l obey the same bound —
+    // the attempt could not begin before the chain reached it).
+    for (const ScheduledLayer &e : list) {
+        if (e.layerIdx == 0)
+            continue;
+        const Index prev = executed(e.instanceIdx, e.layerIdx - 1);
+        if (prev == kNone) {
+            err << "instance " << e.instanceIdx << " layer "
+                << e.layerIdx << " has no completed predecessor";
+            return err.str();
+        }
+        if (e.startCycle < list[prev].endCycle - kEps) {
+            err << "dependence violation: instance " << e.instanceIdx
+                << " layer " << e.layerIdx << " starts "
+                << e.startCycle << " before predecessor ends "
+                << list[prev].endCycle;
+            return err.str();
+        }
+    }
+    std::vector<Index>().swap(slot); // free before the two orders
+
+    // Non-overlap per sub-accelerator: in start order, each entry
+    // against the previous one on its sub-accelerator. Report the
+    // first violation of the lowest-numbered sub-accelerator.
+    const std::vector<Index> claims = claimOrder<Index>(list);
+    std::vector<Index> last_on(num_accs, kNone);
+    std::size_t bad_acc = num_accs;
+    double bad_cycle = 0.0;
+    for (Index c : claims) {
+        const ScheduledLayer &e = list[c];
+        if (e.accIdx >= num_accs)
+            continue;
+        Index &prev = last_on[e.accIdx];
+        if (prev != kNone && e.accIdx < bad_acc &&
+            e.startCycle < list[prev].endCycle - kEps) {
+            bad_acc = e.accIdx;
+            bad_cycle = e.startCycle;
+        }
+        prev = c;
+    }
+    if (bad_acc < num_accs) {
+        err << "overlap on sub-accelerator " << bad_acc << " at cycle "
+            << bad_cycle;
+        return err.str();
+    }
+
+    // Global-buffer occupancy: sweep the claims and releases.
+    const std::int64_t cap =
+        static_cast<std::int64_t>(acc.globalBufferBytes());
+    sweepBuffer(list, claims, releaseOrder<Index>(list),
+                [&](double time, std::int64_t occupancy) {
+                    if (occupancy <= cap)
+                        return true;
+                    err << "global buffer over-subscribed ("
+                        << occupancy << " > " << cap
+                        << " bytes) at cycle " << time;
+                    return false;
+                });
+    return err.str();
+}
+
 } // namespace
 
 bool
@@ -303,267 +662,25 @@ Schedule::validate(const workload::Workload &wl,
                    const accel::Accelerator &acc,
                    const FaultTimeline *faults) const
 {
-    std::ostringstream err;
-
     if (retiredCount > 0)
         util::panic("validate needs the full entry list, but ",
                     retiredCount, " entries were retired");
     if (numAccs != acc.numSubAccs()) {
+        std::ostringstream err;
         err << "schedule built for " << numAccs
             << " sub-accelerators, accelerator has "
             << acc.numSubAccs();
         return err.str();
     }
     if (faults && faults->numSubAccs() != numAccs) {
+        std::ostringstream err;
         err << "fault timeline built for " << faults->numSubAccs()
             << " sub-accelerators, schedule has " << numAccs;
         return err.str();
     }
-
-    // Dropped frames are intentionally incomplete: a frame shed at
-    // admission has no layers at all, a frame shed mid-schedule
-    // (dynamic doomed-frame drop) keeps the prefix it had already
-    // committed — in either case the scheduled layers must form a
-    // dependence-chain prefix, and completeness is judged on the
-    // remainder.
-    for (std::size_t d : droppedList) {
-        if (d >= wl.numInstances()) {
-            err << "dropped instance " << d << " out of range";
-            return err.str();
-        }
-    }
-
-    // Completeness: every non-dropped (instance, layer) exactly
-    // once; dropped instances contribute a (possibly empty) prefix.
-    // Fault-killed entries are wasted attempts, not executions: they
-    // are excluded from uniqueness/completeness and checked against
-    // the fault timeline separately below.
-    std::map<std::pair<std::size_t, std::size_t>, const ScheduledLayer *>
-        seen;
-    std::vector<const ScheduledLayer *> killed;
-    std::vector<std::size_t> layer_count(wl.numInstances(), 0);
-    std::vector<std::size_t> max_layer(wl.numInstances(), 0);
-    for (const ScheduledLayer &e : list) {
-        if (e.instanceIdx >= wl.numInstances()) {
-            err << "entry references instance " << e.instanceIdx
-                << " out of range";
-            return err.str();
-        }
-        const dnn::Model &model = wl.modelOf(e.instanceIdx);
-        if (e.layerIdx >= model.numLayers()) {
-            err << "entry references layer " << e.layerIdx
-                << " out of range for " << model.name();
-            return err.str();
-        }
-        if (e.faultKilled) {
-            if (!faults) {
-                err << "fault-killed entry (instance "
-                    << e.instanceIdx << " layer " << e.layerIdx
-                    << ") without a fault timeline";
-                return err.str();
-            }
-            killed.push_back(&e);
-            continue;
-        }
-        auto key = std::make_pair(e.instanceIdx, e.layerIdx);
-        if (seen.count(key)) {
-            err << "duplicate entry for instance " << e.instanceIdx
-                << " layer " << e.layerIdx;
-            return err.str();
-        }
-        seen[key] = &e;
-        ++layer_count[e.instanceIdx];
-        max_layer[e.instanceIdx] =
-            std::max(max_layer[e.instanceIdx], e.layerIdx);
-    }
-    for (std::size_t i = 0; i < wl.numInstances(); ++i) {
-        const std::size_t expect = wl.modelOf(i).numLayers();
-        if (isDropped(i)) {
-            // Uniqueness holds, so "prefix" == the max scheduled
-            // layer index is count - 1.
-            if (layer_count[i] > 0 &&
-                max_layer[i] != layer_count[i] - 1) {
-                err << "dropped instance " << i << " scheduled "
-                    << layer_count[i]
-                    << " layers that are not a chain prefix";
-                return err.str();
-            }
-            if (layer_count[i] >= expect) {
-                err << "dropped instance " << i
-                    << " is fully scheduled";
-                return err.str();
-            }
-        } else if (layer_count[i] != expect) {
-            err << "instance " << i << " has " << layer_count[i]
-                << " scheduled layers, model has " << expect;
-            return err.str();
-        }
-    }
-
-    // Fault consistency: every entry stays clear of unavailable
-    // windows (killed entries end *at* the onset, which is exactly
-    // the boundary of availability), and every killed entry ends at
-    // a fault onset and precedes the re-execution of its layer.
-    if (faults) {
-        for (const ScheduledLayer &e : list) {
-            if (!faults->windowAvailable(e.accIdx, e.startCycle,
-                                         e.duration())) {
-                err << "instance " << e.instanceIdx << " layer "
-                    << e.layerIdx << " [" << e.startCycle << ", "
-                    << e.endCycle << ") overlaps an unavailable "
-                    << "window on sub-accelerator " << e.accIdx;
-                return err.str();
-            }
-        }
-        for (const ScheduledLayer *k : killed) {
-            if (!faults->isFaultOnset(k->accIdx, k->endCycle)) {
-                err << "fault-killed entry (instance "
-                    << k->instanceIdx << " layer " << k->layerIdx
-                    << ") ends at " << k->endCycle
-                    << ", not at a fault onset on sub-accelerator "
-                    << k->accIdx;
-                return err.str();
-            }
-            auto it = seen.find(
-                std::make_pair(k->instanceIdx, k->layerIdx));
-            if (it != seen.end()) {
-                if (it->second->startCycle < k->endCycle - kEps) {
-                    err << "re-execution of instance "
-                        << k->instanceIdx << " layer " << k->layerIdx
-                        << " starts " << it->second->startCycle
-                        << " before its killed attempt ends "
-                        << k->endCycle;
-                    return err.str();
-                }
-            } else if (!isDropped(k->instanceIdx)) {
-                err << "instance " << k->instanceIdx << " layer "
-                    << k->layerIdx << " was fault-killed but never "
-                    << "re-executed (and the frame is not dropped)";
-                return err.str();
-            } else if (k->layerIdx != layer_count[k->instanceIdx]) {
-                // A dropped frame's unrecovered kill can only be the
-                // attempt at the first uncommitted layer.
-                err << "dropped instance " << k->instanceIdx
-                    << " has a killed attempt at layer "
-                    << k->layerIdx << " beyond its committed prefix";
-                return err.str();
-            }
-        }
-    }
-
-    // Reconfiguration windows are planned outages on the donor and
-    // receiver: no entry on either party may overlap one (a layer in
-    // flight at the window start would have been drained or killed).
-    for (const ReconfigEvent &w : reconfigList) {
-        if (w.donor >= numAccs || w.receiver >= numAccs) {
-            err << "reconfig event references sub-accelerator out of "
-                << "range";
-            return err.str();
-        }
-        for (const ScheduledLayer &e : list) {
-            if (e.accIdx != w.donor && e.accIdx != w.receiver)
-                continue;
-            if (e.startCycle < w.endCycle - kEps &&
-                e.endCycle > w.startCycle + kEps) {
-                err << "instance " << e.instanceIdx << " layer "
-                    << e.layerIdx << " [" << e.startCycle << ", "
-                    << e.endCycle << ") overlaps reconfig window ["
-                    << w.startCycle << ", " << w.endCycle
-                    << ") on sub-accelerator " << e.accIdx;
-                return err.str();
-            }
-        }
-    }
-
-    // Arrival: no layer starts before its instance arrives.
-    for (const ScheduledLayer &e : list) {
-        double arrival = wl.instances()[e.instanceIdx].arrivalCycle;
-        if (e.startCycle < arrival - kEps) {
-            err << "arrival violation: instance " << e.instanceIdx
-                << " layer " << e.layerIdx << " starts "
-                << e.startCycle << " before arrival " << arrival;
-            return err.str();
-        }
-    }
-
-    // Dependence: layer l starts after layer l-1 of the same
-    // instance (killed attempts at layer l obey the same bound —
-    // the attempt could not begin before the chain reached it).
-    for (const ScheduledLayer &e : list) {
-        if (e.layerIdx == 0)
-            continue;
-        auto prev_it =
-            seen.find(std::make_pair(e.instanceIdx, e.layerIdx - 1));
-        if (prev_it == seen.end()) {
-            err << "instance " << e.instanceIdx << " layer "
-                << e.layerIdx << " has no completed predecessor";
-            return err.str();
-        }
-        const ScheduledLayer *prev = prev_it->second;
-        if (e.startCycle < prev->endCycle - kEps) {
-            err << "dependence violation: instance " << e.instanceIdx
-                << " layer " << e.layerIdx << " starts "
-                << e.startCycle << " before predecessor ends "
-                << prev->endCycle;
-            return err.str();
-        }
-    }
-
-    // Non-overlap per sub-accelerator.
-    for (std::size_t a = 0; a < numAccs; ++a) {
-        std::vector<const ScheduledLayer *> on_acc;
-        for (const ScheduledLayer &e : list) {
-            if (e.accIdx == a)
-                on_acc.push_back(&e);
-        }
-        std::sort(on_acc.begin(), on_acc.end(),
-                  [](const ScheduledLayer *x, const ScheduledLayer *y) {
-                      return x->startCycle < y->startCycle;
-                  });
-        for (std::size_t i = 1; i < on_acc.size(); ++i) {
-            if (on_acc[i]->startCycle <
-                on_acc[i - 1]->endCycle - kEps) {
-                err << "overlap on sub-accelerator " << a << " at cycle "
-                    << on_acc[i]->startCycle;
-                return err.str();
-            }
-        }
-    }
-
-    // Global-buffer occupancy: sweep over start/end events.
-    struct Event
-    {
-        double time;
-        std::int64_t delta;
-    };
-    std::vector<Event> events;
-    for (const ScheduledLayer &e : list) {
-        events.push_back(
-            {e.startCycle,
-             static_cast<std::int64_t>(e.l2FootprintBytes)});
-        events.push_back(
-            {e.endCycle,
-             -static_cast<std::int64_t>(e.l2FootprintBytes)});
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &x, const Event &y) {
-                  if (x.time != y.time)
-                      return x.time < y.time;
-                  return x.delta < y.delta; // releases before claims
-              });
-    std::int64_t occupancy = 0;
-    const std::int64_t cap =
-        static_cast<std::int64_t>(acc.globalBufferBytes());
-    for (const Event &ev : events) {
-        occupancy += ev.delta;
-        if (occupancy > cap) {
-            err << "global buffer over-subscribed (" << occupancy
-                << " > " << cap << " bytes) at cycle " << ev.time;
-            return err.str();
-        }
-    }
-
-    return "";
+    return withIndexType(list.size(), [&](auto none) {
+        return checkEntries<decltype(none)>(*this, wl, acc, faults);
+    });
 }
 
 std::uint64_t
@@ -572,33 +689,17 @@ Schedule::peakOccupancyBytes() const
     if (retiredCount > 0)
         util::panic("peakOccupancyBytes needs the full entry list, "
                     "but ", retiredCount, " entries were retired");
-    struct Event
-    {
-        double time;
-        std::int64_t delta;
-    };
-    std::vector<Event> events;
-    for (const ScheduledLayer &e : list) {
-        events.push_back(
-            {e.startCycle,
-             static_cast<std::int64_t>(e.l2FootprintBytes)});
-        events.push_back(
-            {e.endCycle,
-             -static_cast<std::int64_t>(e.l2FootprintBytes)});
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event &x, const Event &y) {
-                  if (x.time != y.time)
-                      return x.time < y.time;
-                  return x.delta < y.delta;
-              });
-    std::int64_t occupancy = 0;
-    std::int64_t peak = 0;
-    for (const Event &ev : events) {
-        occupancy += ev.delta;
-        peak = std::max(peak, occupancy);
-    }
-    return static_cast<std::uint64_t>(peak);
+    return withIndexType(list.size(), [&](auto none) {
+        using Index = decltype(none);
+        std::int64_t peak = 0;
+        sweepBuffer(list, claimOrder<Index>(list),
+                    releaseOrder<Index>(list),
+                    [&](double, std::int64_t occupancy) {
+                        peak = std::max(peak, occupancy);
+                        return true;
+                    });
+        return static_cast<std::uint64_t>(peak);
+    });
 }
 
 std::string
@@ -606,20 +707,34 @@ checkContextPenalties(const Schedule &schedule,
                       double context_change_cycles)
 {
     const std::vector<ScheduledLayer> &entries = schedule.entries();
-    for (std::size_t a = 0; a < schedule.numSubAccs(); ++a) {
-        std::vector<const ScheduledLayer *> on_acc;
-        for (const ScheduledLayer &e : entries) {
-            if (e.accIdx == a)
-                on_acc.push_back(&e);
-        }
-        std::sort(on_acc.begin(), on_acc.end(),
+    const std::size_t num_accs = schedule.numSubAccs();
+    // Bucket the entries by sub-accelerator in one counting pass,
+    // list order within a bucket. Counts land one slot up, so after
+    // the prefix sum bump[a] is the start of bucket a; placing
+    // advances it to the end of bucket a.
+    std::vector<std::size_t> bump(num_accs + 1, 0);
+    for (const ScheduledLayer &e : entries) {
+        if (e.accIdx < num_accs)
+            ++bump[e.accIdx + 1];
+    }
+    std::partial_sum(bump.begin(), bump.end(), bump.begin());
+    std::vector<const ScheduledLayer *> by_acc(bump[num_accs]);
+    for (const ScheduledLayer &e : entries) {
+        if (e.accIdx < num_accs)
+            by_acc[bump[e.accIdx]++] = &e;
+    }
+    for (std::size_t a = 0; a < num_accs; ++a) {
+        auto first = by_acc.begin() +
+                     static_cast<std::ptrdiff_t>(a > 0 ? bump[a - 1] : 0);
+        auto last = by_acc.begin() + static_cast<std::ptrdiff_t>(bump[a]);
+        std::sort(first, last,
                   [](const ScheduledLayer *x, const ScheduledLayer *y) {
                       return x->startCycle < y->startCycle;
                   });
-        for (std::size_t i = 0; i < on_acc.size(); ++i) {
-            const ScheduledLayer &e = *on_acc[i];
+        for (auto it = first; it != last; ++it) {
+            const ScheduledLayer &e = **it;
             double expected =
-                i > 0 && on_acc[i - 1]->instanceIdx != e.instanceIdx
+                it != first && (*(it - 1))->instanceIdx != e.instanceIdx
                     ? context_change_cycles
                     : 0.0;
             if (e.contextPenaltyCycles != expected) {
