@@ -15,8 +15,8 @@
  *
  * materialize() replays the same merge into a finite
  * workload::Workload — the bridge the equivalence suite uses to
- * compare an online run against the offline HeraldScheduler oracle
- * on the identical frame sequence.
+ * compare a streamed run against HeraldScheduler's batch drain on
+ * the identical frame sequence.
  */
 
 #pragma once

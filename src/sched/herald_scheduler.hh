@@ -16,17 +16,19 @@
  * (Fig. 9). Both passes only ever move entries earlier, so the
  * makespan is non-increasing and the loop terminates.
  *
- * Throughput architecture: schedule() first builds a LayerCostTable
- * (every unique (layer, sub-acc) cost evaluated once, optionally
- * prefilled across a ThreadPool) and then runs an event-driven
- * dispatch loop — instances are released from an arrival-sorted
- * cursor into ordered ready sets, so picking the next instance is
- * O(log n) instead of an O(n_instances) scan per layer, and the loop
- * body is allocation- and lock-free. The original per-layer-query
- * O(L x N) implementation survives as a test/bench-only verification
- * oracle (sched/reference_scheduler.hh, outside libherald): both
- * paths produce bit-identical schedules (asserted by
- * tests/test_sched_equivalence.cc).
+ * Throughput architecture: schedule() builds a LayerCostTable (every
+ * unique (layer, sub-acc) cost evaluated once, optionally prefilled
+ * across a ThreadPool) or borrows the caller's, then drains Herald's
+ * one dispatch engine, sched::OnlineScheduler, in batch mode: every
+ * instance is submitted in (arrival, instance index) order with
+ * history retained, released from an arrival-ordered cursor into an
+ * ordered ready set, so picking the next instance is O(log n) instead
+ * of an O(n_instances) scan per layer. Post-processing then runs on
+ * the retained schedule with the engine's own MemoryTracker. The
+ * original per-layer-query O(L x N) implementation survives as a
+ * test/bench-only verification oracle (sched/reference_scheduler.hh,
+ * outside libherald): both produce bit-identical schedules (asserted
+ * by tests/test_sched_equivalence.cc).
  */
 
 #pragma once
@@ -110,17 +112,9 @@ struct SchedulerOptions
      * order), EDF (nearest absolute deadline) or LST (least slack,
      * deadline minus optimistic remaining work). Ties — including
      * every instance of a deadline-free workload — resolve via
-     * @c ordering. Read through effectivePolicy(), which honours the
-     * deprecated @c deadlineAware alias.
+     * @c ordering.
      */
     Policy policy = Policy::Fifo;
-
-    /**
-     * @deprecated Alias kept for source compatibility: setting it
-     * while @c policy is Policy::Fifo selects Policy::Edf. Use
-     * @c policy directly in new code.
-     */
-    bool deadlineAware = false;
 
     /**
      * Over-subscription admission control: DropPolicy::HopelessFrames
@@ -148,17 +142,9 @@ struct SchedulerOptions
      * context-change penalty, and nobody finishes early. With a
      * positive band the most recently dispatched instance keeps the
      * grant until a competitor's key undercuts it by more than the
-     * band. Only consulted when the effective policy is LST.
+     * band. Only consulted when the policy is LST.
      */
     double lstHysteresisCycles = 0.0;
-
-    /** The policy after resolving the deprecated alias. */
-    Policy
-    effectivePolicy() const
-    {
-        return policy == Policy::Fifo && deadlineAware ? Policy::Edf
-                                                       : policy;
-    }
 
     /** Enable the load-balancing feedback loop. */
     bool loadBalance = true;
@@ -245,9 +231,9 @@ struct SchedulerOptions
  * Upper bound on what any MemoryTracker probe of a run under @p opts
  * over @p table can ask of the global buffer (occupancy plus the
  * probed footprint), or +infinity when no bound is proved.
- * HeraldScheduler and OnlineScheduler skip the tracker entirely when
- * the chip's buffer holds at least this many bytes, since no tracker
- * query could then fail; schedules stay bit-identical. The bound is
+ * The dispatch engine and post-processing skip the tracker entirely
+ * when the chip's buffer holds at least this many bytes, since no
+ * tracker query could then fail; schedules stay bit-identical. The bound is
  * the sum over sub-accelerators of each one's largest footprint
  * (LayerCostTable::maxFootprintBytes), doubled with post-processing;
  * elastic repartitioning, a fault timeline, and post-processing with
@@ -275,7 +261,7 @@ class HeraldScheduler
     /**
      * Same, reusing a prebuilt @p table (must have been built for
      * this @p wl / @p acc pair with the same metric and RDA
-     * overheads).
+     * overheads). The table is borrowed for the call, never copied.
      */
     Schedule schedule(const workload::Workload &wl,
                       const accel::Accelerator &acc,
@@ -294,9 +280,9 @@ class HeraldScheduler
      * and across gap-fill moves (a sorted-order splice replaces the
      * per-move re-sort), and each gap-fill scan resumes just before
      * the previous move's gap instead of at the front. @p tracker is
-     * dispatch's own tracker: its interval i is entry i. Null when
-     * the buffer cannot bind (maxBufferDemand): every move is then
-     * memory-feasible.
+     * the dispatch engine's own tracker: its interval i is entry i.
+     * Null when the buffer cannot bind (maxBufferDemand): every move
+     * is then memory-feasible.
      */
     void postProcessIdleTime(Schedule &schedule,
                              const workload::Workload &wl,

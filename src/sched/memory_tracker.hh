@@ -92,7 +92,7 @@ class MemoryTracker
      * query can read, so removing the pair leaves all results
      * bit-identical. The online scheduler calls this with its
      * monotone retirement floor (no committed work can start before
-     * it); the offline scheduler never retires. Returns the number of
+     * it) when it does not retain its schedule. Returns the number of
      * intervals retired.
      */
     std::size_t retireBefore(double floor_cycle);

@@ -59,10 +59,34 @@ OnlineOptions::validate() const
     if (sched.reconfig.enabled() && !retainSchedule)
         util::fatal("online scheduler: elastic repartitioning "
                     "requires retainSchedule — reconfiguration "
-                    "events live on the Schedule and the offline "
+                    "events live on the Schedule and the batch "
                     "bit-identity contract cannot be checked with "
                     "history retired");
 }
+
+namespace
+{
+
+/**
+ * Batch-mode options: every instance may be live at once, history is
+ * retained, and maintenance never fires mid-run — with nothing to
+ * retire, its floor scan would only cost O(window) per period, so the
+ * watchdog audits once, at drain(). Post-processing runs on the
+ * drained schedule, outside the engine.
+ */
+OnlineOptions
+batchOptions(const SchedulerOptions &options, std::size_t n_instances)
+{
+    OnlineOptions o;
+    o.sched = options;
+    o.sched.postProcess = false;
+    o.maxLiveFrames = std::max<std::size_t>(n_instances, 1);
+    o.maintenancePeriod = SIZE_MAX;
+    o.retainSchedule = true;
+    return o;
+}
+
+} // namespace
 
 OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                                  const std::vector<dnn::Model> &models,
@@ -74,8 +98,46 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
     opts.validate();
     if (models.empty())
         util::fatal("online scheduler: no models to serve");
+    // One template instance per model: the cost table only depends on
+    // the set of unique models, so every stream frame shares it.
+    for (const dnn::Model &m : models)
+        templateWl.addModel(m, 1);
+    ownTable = LayerCostTable::build(cost_model, templateWl, acc,
+                                     opts.sched.metric,
+                                     opts.sched.rdaOverheads,
+                                     opts.sched.prefillThreads);
+    tableWl = &templateWl;
+    baseTable = &ownTable;
+    trackMemory = maxBufferDemand(opts.sched, ownTable) >
+                  static_cast<double>(acc.globalBufferBytes());
+    bind(cost_model, acc);
+}
+
+OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
+                                 const workload::Workload &wl,
+                                 const accel::Accelerator &acc,
+                                 const LayerCostTable &table,
+                                 const SchedulerOptions &options)
+    : opts(batchOptions(options, wl.numInstances())),
+      templateWl("online-templates"), tableWl(&wl), baseTable(&table),
+      memory(acc.globalBufferBytes()), sched(acc.numSubAccs())
+{
+    opts.validate();
+    trackMemory = maxBufferDemand(options, table) >
+                  static_cast<double>(acc.globalBufferBytes());
+    bind(cost_model, acc);
+    sched.reserve(wl.totalLayers());
+    if (trackMemory)
+        memory.reserve(wl.totalLayers());
+    win.reserve(wl.numInstances());
+}
+
+void
+OnlineScheduler::bind(cost::CostModel &cost_model,
+                      const accel::Accelerator &acc)
+{
     nAcc = acc.numSubAccs();
-    nModels = models.size();
+    nModels = tableWl->specs().size();
 
     const FaultTimeline &faults = opts.sched.faults;
     faulty = !faults.empty();
@@ -85,24 +147,14 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
                     " sub-accelerators, accelerator has ", nAcc);
     }
 
-    // One template instance per model: the cost table only depends on
-    // the set of unique models, so every stream frame shares it.
-    for (const dnn::Model &m : models)
-        templateWl.addModel(m, 1);
-    table = LayerCostTable::build(cost_model, templateWl, acc,
-                                  opts.sched.metric,
-                                  opts.sched.rdaOverheads,
-                                  opts.sched.prefillThreads);
-    activeTable = &table;
-    trackMemory = maxBufferDemand(opts.sched, table) >
-                  static_cast<double>(acc.globalBufferBytes());
+    activeTable = baseTable;
     uidOf.resize(nModels);
     rowBaseOf.resize(nModels);
     layersOf.resize(nModels);
     for (std::size_t m = 0; m < nModels; ++m) {
-        uidOf[m] = templateWl.uniqueIdOfSpec(m);
-        rowBaseOf[m] = table.rowOf(uidOf[m], 0);
-        layersOf[m] = models[m].numLayers();
+        uidOf[m] = tableWl->uniqueIdOfSpec(m);
+        rowBaseOf[m] = baseTable->rowOf(uidOf[m], 0);
+        layersOf[m] = tableWl->specs()[m].model.numLayers();
     }
 
     reconfig = opts.sched.reconfig.enabled();
@@ -120,7 +172,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
     preempt = opts.sched.preemption == Preemption::AtLayerBoundary;
     doomDrop = opts.sched.dropPolicy == DropPolicy::DoomedFrames;
     dropAny = opts.sched.dropPolicy != DropPolicy::None;
-    policyKind = opts.sched.effectivePolicy();
+    policyKind = opts.sched.policy;
     hysteresis = opts.sched.lstHysteresisCycles > 0.0 &&
                  policyKind == Policy::Lst;
 
@@ -132,7 +184,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
 
     if (faulty && dropAny) {
         admissionView =
-            std::make_unique<LayerCostTable::DegradedView>(table);
+            std::make_unique<LayerCostTable::DegradedView>(*baseTable);
         deadMask.assign(nAcc, 0);
         bool dead_at_zero = false;
         for (std::size_t a = 0; a < nAcc; ++a) {
@@ -151,7 +203,7 @@ OnlineScheduler::OnlineScheduler(cost::CostModel &cost_model,
             // The run view starts from the same dead-at-zero state
             // and is refreshed as the floor passes later onsets.
             runView = std::make_unique<LayerCostTable::DegradedView>(
-                table);
+                *baseTable);
             if (dead_at_zero)
                 runView->rebuild(deadMask);
         }
@@ -196,11 +248,11 @@ OnlineScheduler::keyOf(std::size_t idx) const
       case Policy::Edf:
         return f.deadline;
       case Policy::Lst:
-        // The pristine table, even under faults — exactly LstPolicy.
+        // The pristine table, even under faults or after a migration.
         return f.deadline == workload::kNoDeadline
                    ? workload::kNoDeadline
                    : f.deadline -
-                         table.remainingCycles(f.uid, f.nextLayer);
+                         baseTable->remainingCycles(f.uid, f.nextLayer);
     }
     util::panic("unknown Policy");
 }
@@ -210,7 +262,7 @@ OnlineScheduler::readyRelease(std::size_t idx)
 {
     Frame &f = frameAt(idx);
     const double key = keyOf(idx);
-    ready.emplace(key, idx);
+    ready.insert(ReadyKey{key, f.rank, idx});
     f.currentKey = key;
     f.member = true;
 }
@@ -221,7 +273,7 @@ OnlineScheduler::readyRetire(std::size_t idx)
     Frame &f = frameAt(idx);
     if (!f.member)
         return;
-    ready.erase(std::make_pair(f.currentKey, idx));
+    ready.erase(ReadyKey{f.currentKey, f.rank, idx});
     f.member = false;
 }
 
@@ -235,15 +287,19 @@ OnlineScheduler::readyRekey(std::size_t idx)
     if (key == f.currentKey)
         return;
     // Move the node to its new key: no free, no allocation.
-    auto node = ready.extract(std::make_pair(f.currentKey, idx));
-    node.value().first = key;
+    auto node = ready.extract(ReadyKey{f.currentKey, f.rank, idx});
+    node.value().key = key;
     ready.insert(std::move(node));
     f.currentKey = key;
 }
 
 // ------------------------------------------------------------------
-// Dispatch-loop helpers (ports of the offline lambdas; see
-// herald_scheduler.cc for the full reasoning behind each rule)
+// Dispatch-loop helpers
+//
+// The per-commit path (tryStep: selectReadyIdx, planLayer, commit,
+// releaseUpTo) runs once per layer and is declared inline so the
+// compiler may fold it into one loop: out of line, the calls cost
+// about a tenth of the offline backlog's dispatch time.
 // ------------------------------------------------------------------
 
 double
@@ -264,6 +320,12 @@ OnlineScheduler::minAvail() const
             lo = std::min(lo, accAvail[a]);
         return lo;
     }
+    // Degraded floor: the earliest cycle any *usable* capacity frees
+    // up. A dead sub-accelerator's frozen frontier must not hold the
+    // floor down forever — project each frontier through the fault
+    // timeline (kNeverCycle once the sub-accelerator has permanently
+    // failed; +inf overall means no capacity is left at all, dooming
+    // every deadline frame).
     double lo = kNeverCycle;
     for (std::size_t a = 0; a < nAcc; ++a)
         lo = std::min(lo, faults.nextAvailable(a, accAvail[a]));
@@ -305,6 +367,15 @@ OnlineScheduler::doomKeyOf(const Frame &f) const
     return f.deadline - remCyclesRun(f.uid, f.nextLayer);
 }
 
+// Provably-doomed test against the evolving schedule: the next
+// remaining layer cannot start before max(dependence-chain ready
+// time, earliest sub-accelerator availability), and the chain needs
+// at least its optimistic suffix — if even that lower bound overshoots
+// the deadline, no continuation can save the frame. Under faults the
+// suffix comes from the run view (dead columns masked once the floor
+// passes their onsets), which is sound: the mask only ever contains
+// sub-accelerators already unusable at every cycle >= the frame's
+// "now".
 bool
 OnlineScheduler::doomedNow(std::size_t idx, double now_floor) const
 {
@@ -316,6 +387,8 @@ OnlineScheduler::doomedNow(std::size_t idx, double now_floor) const
     return now + rem > f.deadline + kEps;
 }
 
+// Fold permanent failures whose onset the availability floor has
+// passed into the run view.
 void
 OnlineScheduler::refreshDegraded(double floor)
 {
@@ -418,12 +491,19 @@ OnlineScheduler::finishFrame(std::size_t idx)
         ++framesRescheduled;
 }
 
+// Shed a live frame mid-schedule: committed layers stay on the
+// timeline (the cycles were really spent), the rest are cancelled,
+// and the frame is recorded as dropped (and therefore missed). Called
+// under DropPolicy::DoomedFrames, and — under any drop policy — when
+// a fault timeline leaves a frame with no usable sub-accelerator at
+// all (graceful degradation: the alternative is a dispatch loop that
+// can never terminate).
 void
 OnlineScheduler::dropLive(std::size_t idx)
 {
     Frame &f = frameAt(idx);
     if (opts.retainSchedule)
-        sched.markDropped(idx);
+        sched.markDropped(f.rank);
     liveRemaining -= f.numLayers - f.nextLayer;
     f.numLayers = f.nextLayer; // pending() now false
     readyRetire(idx);
@@ -442,8 +522,12 @@ OnlineScheduler::dropLive(std::size_t idx)
     maxLatency = workload::kNoDeadline;
 }
 
-// @p floor is minAvail(), read by the caller: releases never move
-// accAvail, so one read serves a whole release sweep.
+// Released frames with pending layers live in the (key, rank)-ordered
+// ready set. Under DoomedFrames a frame is doom-tested the moment it
+// is released (its arrival may already be inside a backlog) and
+// tracked in the doom set afterwards. @p floor is minAvail(), read by
+// the caller: releases never move accAvail, so one read serves a
+// whole release sweep.
 void
 OnlineScheduler::releaseInst(std::size_t idx, double floor)
 {
@@ -462,7 +546,11 @@ OnlineScheduler::releaseInst(std::size_t idx, double floor)
     f.inDoom = true;
 }
 
-void
+// The release clock is the latest committed end cycle: a frame
+// competes for dispatch only once its arrival is inside the committed
+// horizon. Frames are released in admission (arrival) order by one
+// cursor, each exactly once.
+inline void
 OnlineScheduler::releaseUpTo(double frontier, double floor)
 {
     const std::size_t total = totalFrames();
@@ -475,6 +563,11 @@ OnlineScheduler::releaseUpTo(double frontier, double floor)
     }
 }
 
+// Preemptive release: everything arriving strictly before the
+// tentatively planned commit's end joins the ready set now — called
+// only when at least one such arrival is strictly more urgent than
+// the planned frame, so FIFO (constant key) and deadline-free frames
+// never trigger it.
 void
 OnlineScheduler::releaseWindow(double end, double floor)
 {
@@ -488,6 +581,13 @@ OnlineScheduler::releaseWindow(double end, double floor)
     }
 }
 
+// Fault-aware placement on one sub-accelerator: the earliest start at
+// or after @p earliest that is outside every known outage, before the
+// sub-accelerator's permanent failure, and memory-feasible. The
+// throttle factor is sampled at the start and held for the whole
+// layer (layers are atomic). Termination: each round either returns
+// or strictly advances `s` to a memory event boundary past an
+// availability point — both finite sets.
 bool
 OnlineScheduler::placeOn(std::size_t a, double earliest,
                          double base_cycles, double penalty,
@@ -514,7 +614,7 @@ OnlineScheduler::placeOn(std::size_t a, double earliest,
     }
 }
 
-OnlineScheduler::Plan
+inline OnlineScheduler::Plan
 OnlineScheduler::planLayer(std::size_t inst) const
 {
     const Frame &frame = frameAt(inst);
@@ -523,6 +623,14 @@ OnlineScheduler::planLayer(std::size_t inst) const
     const FaultTimeline &faults = opts.sched.faults;
 
     if (faulty) {
+        // Degraded-mode candidate selection: only sub-accelerators
+        // with a finite availability point from this frame's earliest
+        // start compete; the preference order (metric order, demoted
+        // by the same load-balancing feedback) is otherwise unchanged.
+        // When placement on the chosen candidate pushes past its
+        // permanent failure, demote through the remaining usable
+        // candidates; when every candidate fails, the frame can never
+        // progress (plan.feasible = false).
         Plan plan;
         const double base_ready = frame.readyTime;
         auto usable = [&](std::size_t a) {
@@ -627,6 +735,7 @@ OnlineScheduler::planLayer(std::size_t inst) const
         }
     }
 
+    // Dependence + memory constrained start time.
     Plan plan;
     plan.acc = chosen;
     const accel::StyledLayerCost &sc = activeTable->cost(row, chosen);
@@ -645,23 +754,28 @@ OnlineScheduler::planLayer(std::size_t inst) const
     return plan;
 }
 
-std::size_t
+// Pick from the ready set: the lowest key, the rank breaking ties —
+// under breadth-first ordering the round-robin rotate cursor picks the
+// first tied frame at or after it. Hysteresis: the granted frame keeps
+// the floor unless some competitor's key undercuts its current key by
+// more than the band (without it, least-slack dispatch re-keys per
+// retired layer and degenerates into processor sharing).
+inline std::size_t
 OnlineScheduler::selectReadyIdx() const
 {
     if (ready.empty())
         return SIZE_MAX;
     auto first = ready.begin();
     if (hysteresis && isReadyMember(grant) &&
-        first->first >=
+        first->key >=
             frameAt(grant).currentKey - opts.sched.lstHysteresisCycles)
         return grant;
     if (breadth) {
-        auto it =
-            ready.lower_bound(std::make_pair(first->first, rotate));
-        if (it != ready.end() && it->first == first->first)
-            return it->second;
+        auto it = ready.lower_bound(ReadyKey{first->key, rotate, 0});
+        if (it != ready.end() && it->key == first->key)
+            return it->idx;
     }
-    return first->second;
+    return first->idx;
 }
 
 std::size_t
@@ -682,12 +796,16 @@ OnlineScheduler::selectFutureIdx(bool &stall)
     }
     const double m = frameAt(scan).arrival;
 
-    // Exact-equal arrival band plus the epsilon-chained component it
-    // heads. The offline fallback scans *all* pending futures, but
-    // its winner provably lies inside (and depends only on) this
-    // component: any frame past a > kEps arrival gap can never
-    // displace a component member under the scan's tolerance rule.
-    // Bounding the walk here is what makes the step incremental.
+    // Nothing has arrived: dispatch the nearest future arrival, the
+    // policy key breaking ties. Exact-equal arrivals (periodic streams
+    // share harmonics) take the closed-form winner of the band; only
+    // sub-epsilon near-ties take the epsilon-tolerant scan of
+    // sched::referenceSchedule. Run over *all* pending futures, that
+    // scan provably picks inside (and depends only on) the
+    // epsilon-chained component the band heads: any frame past a
+    // > kEps arrival gap can never displace a component member under
+    // the scan's tolerance rule. Bounding the walk here is what makes
+    // the step incremental.
     std::vector<std::size_t> &run = futureRun;
     std::vector<std::size_t> &comp = futureComp;
     run.clear();
@@ -725,9 +843,17 @@ OnlineScheduler::selectFutureIdx(bool &stall)
         return SIZE_MAX;
     }
 
+    auto rank_less = [&](std::size_t j, std::size_t rank) {
+        return frameAt(j).rank < rank;
+    };
     if (near_tie) {
-        // Reference epsilon-tolerant scan, restricted to the
-        // component, rotated at the round-robin cursor.
+        // Epsilon-tolerant scan over the component in rank order,
+        // rotated at the round-robin cursor. Ranks need not follow
+        // arrivals across the component, so it is sorted first.
+        std::sort(comp.begin(), comp.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return frameAt(a).rank < frameAt(b).rank;
+                  });
         std::size_t inst = SIZE_MAX;
         double best_arrival = workload::kNoDeadline;
         double best_key = workload::kNoDeadline;
@@ -747,7 +873,7 @@ OnlineScheduler::selectFutureIdx(bool &stall)
         };
         auto split =
             std::lower_bound(comp.begin(), comp.end(),
-                             breadth ? rotate : std::size_t{0});
+                             breadth ? rotate : std::size_t{0}, rank_less);
         for (auto it = split; it != comp.end(); ++it)
             consider(*it);
         for (auto it = comp.begin(); it != split; ++it)
@@ -755,12 +881,13 @@ OnlineScheduler::selectFutureIdx(bool &stall)
         return inst;
     }
 
-    // Rotated visit order over the ascending run; keep the lowest
-    // key, first seen wins ties (SelectionPolicy::selectFromRun).
+    // Rotated visit order over the band, which equal arrivals put in
+    // rank order; keep the lowest key, first seen wins ties (pure rank
+    // order for constant-key FIFO).
     std::size_t start_pos = 0;
     if (breadth) {
         start_pos = static_cast<std::size_t>(
-            std::lower_bound(run.begin(), run.end(), rotate) -
+            std::lower_bound(run.begin(), run.end(), rotate, rank_less) -
             run.begin());
         if (start_pos == run.size())
             start_pos = 0;
@@ -792,7 +919,7 @@ OnlineScheduler::urgentExists(double end, double threshold) const
     return false;
 }
 
-void
+inline void
 OnlineScheduler::commit(std::size_t inst, const Plan &plan)
 {
     Frame &f = frameAt(inst);
@@ -800,6 +927,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     const std::size_t row = f.rowBase + layer_idx;
     const accel::StyledLayerCost &sc =
         activeTable->cost(row, plan.acc);
+    // A plan whose duration crosses the next fault onset is committed
+    // as a fault-killed partial execution: it occupies the
+    // sub-accelerator (and buffer) up to the onset exactly, performs
+    // zero useful work, and the frame's chain retries from the onset.
     const bool killed =
         faulty && plan.killAt < plan.start + plan.dur - kEps;
     if (trackMemory)
@@ -808,7 +939,7 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
                    static_cast<double>(sc.cost.l2FootprintBytes));
 
     ScheduledLayer entry;
-    entry.instanceIdx = inst;
+    entry.instanceIdx = f.rank;
     entry.layerIdx = layer_idx;
     entry.accIdx = plan.acc;
     entry.style = sc.style;
@@ -837,9 +968,9 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         ++f.nextLayer;
         --liveRemaining;
     }
-    // Never wrapped: every lookup is a lower_bound over live indices,
-    // where "past the end" and "index 0" pick the same element.
-    rotate = inst + 1;
+    // Never wrapped: every lookup is a lower_bound over live ranks,
+    // where "past the end" and "rank 0" pick the same element.
+    rotate = f.rank + 1;
     grant = inst;
     // accAvail is final for this commit: one floor serves the re-test,
     // the releases and the sweep below, all of which read it only
@@ -847,8 +978,9 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     const double floor = doomDrop ? minAvail() : 0.0;
 
     if (pending(f)) {
+        // Progress shrank the LST remaining work; a kill makes none.
         if (!killed && policyKind == Policy::Lst)
-            readyRekey(inst); // LstPolicy::onLayerScheduled
+            readyRekey(inst);
         // The ready time moved: re-test directly (the floor sweep
         // cannot see a ready time that outruns the floor). The doom
         // key stays as stored — still a lower bound (sweepDoomed).
@@ -864,6 +996,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
     }
     releaseUpTo(releaseFrontier, floor);
 
+    // Doomed-frame sweep: the floor only ever advances; every live
+    // frame whose (deadline - remaining) key fell behind it can no
+    // longer finish in time under any continuation — shed it now
+    // rather than let it burn cycles the still-savable frames need.
     if (doomDrop) {
         if (runView)
             refreshDegraded(floor);
@@ -882,10 +1018,10 @@ OnlineScheduler::commit(std::size_t inst, const Plan &plan)
         maintenance();
 }
 
-// Port of the offline maybe_reconfigure lambda (herald_scheduler.cc)
-// — evaluated at most once per committed layer, so migrations are
-// separated by at least one unit of real progress and the stream
-// cannot livelock on back-to-back reconfigurations.
+// Evaluated at most once per committed layer, so migrations are
+// separated by at least one unit of real progress and the loop cannot
+// livelock on back-to-back reconfigurations. The decision reads only
+// committed state (the sub-accelerator frontiers and the PE split).
 void
 OnlineScheduler::maybeReconfigure()
 {
@@ -896,6 +1032,9 @@ OnlineScheduler::maybeReconfigure()
     const accel::Accelerator &cur = epochAcc ? *epochAcc : *baseAcc;
     const accel::PartitionEpoch epoch =
         planMigrationEpoch(cur, d, nextEpochId++);
+    // The migration is a short planned outage on donor and receiver:
+    // both drain to their committed frontiers, then rewire for the
+    // modeled penalty.
     const double window_start =
         std::max(accAvail[d.donor], accAvail[d.receiver]);
     const double window_end =
@@ -904,10 +1043,13 @@ OnlineScheduler::maybeReconfigure()
         std::make_unique<accel::Accelerator>(cur.withPartition(epoch));
     peSplit = epoch.peSplit;
 
+    // Swap in the new epoch's costs: only the donor and receiver
+    // columns are re-prefilled; every other column is reused verbatim
+    // from the previous epoch.
     if (!epochTable)
-        epochTable = std::make_unique<LayerCostTable>(table);
+        epochTable = std::make_unique<LayerCostTable>(*baseTable);
     epochTable->rebuildColumns(
-        *reconfigCostModel, templateWl, *epochAcc, opts.sched.metric,
+        *reconfigCostModel, *tableWl, *epochAcc, opts.sched.metric,
         opts.sched.rdaOverheads,
         {std::min(d.donor, d.receiver),
          std::max(d.donor, d.receiver)},
@@ -916,8 +1058,7 @@ OnlineScheduler::maybeReconfigure()
 
     // The run-time feasibility proofs read remaining-work bounds off
     // the active table — rebuild them against the new epoch. The
-    // admission view stays frozen on the pristine table, exactly
-    // like the offline pre-pass.
+    // admission view stays frozen on the pristine table.
     if (runView) {
         runView = std::make_unique<LayerCostTable::DegradedView>(
             *activeTable);
@@ -947,7 +1088,7 @@ OnlineScheduler::maybeReconfigure()
     releaseUpTo(releaseFrontier, minAvail());
 }
 
-bool
+inline bool
 OnlineScheduler::tryStep()
 {
     for (;;) {
@@ -955,7 +1096,7 @@ OnlineScheduler::tryStep()
             return false;
         // Deferred reconfig evaluation (see reconfigPending): runs
         // before the next selection, on exactly the committed state
-        // the offline hook saw right after the matching commit.
+        // right after the matching commit.
         if (reconfigPending) {
             reconfigPending = false;
             maybeReconfigure();
@@ -987,6 +1128,16 @@ OnlineScheduler::tryStep()
             selInst = SIZE_MAX;
             continue;
         }
+        // Preemption point (Preemption::AtLayerBoundary): before
+        // committing, check whether the planned layer would span the
+        // arrival of a strictly more urgent frame (smaller policy key;
+        // the hysteresis band protects the grant holder here too). If
+        // so, release everything arriving inside the planned window
+        // and re-run selection — the urgent frame can claim the
+        // sub-accelerator at its arrival (inserted idle). Each round
+        // releases at least one frame, so the loop terminates. A layer
+        // that will be killed ends at the fault onset, so that is the
+        // window urgent arrivals are tested against.
         if (preempt) {
             const double end =
                 std::min(plan.start + plan.dur, plan.killAt);
@@ -1039,7 +1190,8 @@ OnlineScheduler::maintenance()
     sched.retireEntriesBefore(floor, [&](const ScheduledLayer &e) {
         // Audit history as it is forgotten: a violation here means
         // the rolling counters would silently absorb a corrupt
-        // schedule, so fail loudly instead.
+        // schedule, so fail loudly instead. History is only retired
+        // when streaming, where an entry's rank is its frame index.
         if (e.instanceIdx < winBase)
             util::panic("online watchdog: retired entry references "
                         "an already-popped frame ", e.instanceIdx);
@@ -1105,6 +1257,14 @@ SubmitResult
 OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
                         double deadline_cycle)
 {
+    // Streaming ranks are admission indices: the frame's window index.
+    return admit(model_idx, arrival_cycle, deadline_cycle, totalFrames());
+}
+
+SubmitResult
+OnlineScheduler::admit(std::size_t model_idx, double arrival_cycle,
+                       double deadline_cycle, std::size_t rank)
+{
     if (draining)
         util::fatal("online scheduler: submit after drain");
     if (model_idx >= nModels)
@@ -1166,8 +1326,8 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
     }
 
     // --- Admission ---
-    const std::size_t idx = totalFrames();
     Frame f;
+    f.rank = rank;
     f.modelIdx = model_idx;
     f.uid = uidOf[model_idx];
     f.rowBase = rowBaseOf[model_idx];
@@ -1180,14 +1340,20 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
     if (has_deadline)
         ++ms.framesWithDeadline;
 
-    // Hopeless-frame admission proof (herald_scheduler.cc pre-pass),
-    // against the dead-at-cycle-0 degraded view — mid-run failures
-    // are doom-sweep business, not admission business.
+    // Hopeless-frame admission proof: a frame whose deadline cannot be
+    // met even by running every layer back to back on its best
+    // sub-accelerator starting at arrival is hopeless under *any*
+    // schedule (starts cannot precede the arrival, the layer chain is
+    // serial, and each layer needs at least its best-case cycles) —
+    // shed it up front instead of letting it steal cycles from frames
+    // that can still make their deadlines. The proof reads the
+    // dead-at-cycle-0 degraded view — mid-run failures are doom-sweep
+    // business, not admission business.
     bool hopeless = false;
     if (dropAny && has_deadline) {
         const double optimistic =
             admissionView ? admissionView->remainingCycles(f.uid, 0)
-                          : table.remainingCycles(f.uid, 0);
+                          : baseTable->remainingCycles(f.uid, 0);
         hopeless =
             f.deadline - f.arrival - optimistic < -kEps;
     }
@@ -1197,7 +1363,7 @@ OnlineScheduler::submit(std::size_t model_idx, double arrival_cycle,
         f.finished = true;
         win.push_back(f);
         if (opts.retainSchedule)
-            sched.markDropped(idx);
+            sched.markDropped(rank);
         ++ms.dropped;
         ++ms.deadlineMisses;
         ++latInfCount;

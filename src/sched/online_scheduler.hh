@@ -1,22 +1,24 @@
 /**
  * @file
- * Online serving engine: overload-safe incremental scheduling over an
- * unbounded frame stream with bounded memory.
+ * Herald's dispatch engine: the layer scheduler of paper Sec. IV-D as
+ * an incremental state machine, serving an unbounded frame stream
+ * with bounded memory or draining a whole workload as one batch.
  *
- * HeraldScheduler::schedule() is an offline batch oracle — it needs
- * every frame up front and keeps the whole schedule alive. A serving
- * scenario has neither luxury: frames arrive forever, and a
- * million-frame soak must run in flat memory. OnlineScheduler is the
- * same dispatch loop re-cut as an incremental state machine:
+ * Frames are submitted in arrival order and dispatched as they
+ * become decidable:
  *
  * - submit() admits one frame (nondecreasing arrivals) and advances
  *   the scheduler as far as the *watermark* — the latest submitted
- *   arrival — provably allows. Every dispatch decision of the offline
- *   loop depends on future arrivals only through sharp, checkable
- *   gates (release frontier, arrival tie bands, preemption windows);
- *   the online loop pauses at a gate the watermark has not passed and
- *   resumes when it has. drain() declares the stream over (watermark
- *   = +infinity) and runs the loop dry.
+ *   arrival — provably allows. Every dispatch decision depends on
+ *   future arrivals only through sharp, checkable gates (release
+ *   frontier, arrival tie bands, preemption windows); the loop
+ *   pauses at a gate the watermark has not passed and resumes when
+ *   it has. drain() declares the stream over (watermark = +infinity)
+ *   and runs the loop dry.
+ * - Ties between equal keys break on each frame's *rank*: its
+ *   admission index when streaming, its workload instance index in
+ *   batch mode. The rank is also the frame's id on the Schedule
+ *   (ScheduledLayer::instanceIdx, the dropped list).
  * - Committed history is retired incrementally: once the *retirement
  *   floor* — the earliest cycle any usable sub-accelerator frees up —
  *   passes an entry's end, the entry can never influence another
@@ -27,19 +29,24 @@
  * - Overload is handled by deterministic backpressure at admission
  *   (reject when too many frames are live or the arrival span exceeds
  *   the horizon) on top of the drop policies' hopeless/doomed
- *   shedding, which are re-proved incrementally with the exact
- *   offline rules.
+ *   shedding, which are re-proved incrementally.
  * - An internal watchdog audits every retirement batch (monotone
  *   floor, per-sub-accelerator non-overlap, arrival causality, fault
  *   consistency, bounded ready set) and panics on the first
  *   violation instead of silently corrupting rolling counters.
  *
- * Equivalence guarantee (asserted by tests/test_online.cc): on any
- * finite workload, submitting every frame in arrival order and
- * draining yields — in retainSchedule mode — a Schedule bit-identical
- * to HeraldScheduler's on the materialized workload, across the full
- * policy x drop x preemption x fault grid (post-processing excluded:
- * idle-time elimination is offline-only by nature).
+ * Batch mode is HeraldScheduler::schedule(): it submits a whole
+ * workload in (arrival, instance index) order with history retained,
+ * drains, and post-processes the retained schedule. Equivalence
+ * guarantee (asserted by tests/test_online.cc): on any finite
+ * workload, streaming every frame in arrival order and draining
+ * yields — in retainSchedule mode — a Schedule bit-identical to the
+ * batch drain of the materialized workload, across the full policy x
+ * drop x preemption x fault grid (post-processing excluded: idle-time
+ * elimination needs the whole schedule). The batch drain itself is
+ * checked against sched::referenceSchedule
+ * (tests/test_sched_equivalence.cc) and against recorded digests
+ * (tests/test_doom_golden.cc).
  */
 
 #pragma once
@@ -104,8 +111,8 @@ struct OnlineOptions
      * / validate() / computeSla() work. For equivalence tests and
      * short diagnostic runs, not for serving. Required when
      * sched.reconfig is enabled: reconfiguration events are recorded
-     * on the Schedule and the bit-identity contract against the
-     * offline scheduler is meaningless with history retired.
+     * on the Schedule and the bit-identity contract against a batch
+     * drain is meaningless with history retired.
      */
     bool retainSchedule = false;
 
@@ -139,7 +146,7 @@ struct OnlineModelStats
 /**
  * Rolling serving statistics. Counter semantics mirror
  * Schedule::computeSla() exactly (a drained run's totals match the
- * offline oracle's); the latency percentiles come from a log-spaced
+ * retained schedule's); the latency percentiles come from a log-spaced
  * histogram, so they are upper edges of ~4%-wide buckets rather than
  * exact order statistics — dropped frames count as +infinity, and
  * frames still in flight are not counted yet.
@@ -228,7 +235,7 @@ class OnlineScheduler
 
     /**
      * The full schedule (retainSchedule mode only — fatal otherwise):
-     * bit-identical to the offline HeraldScheduler's on the
+     * bit-identical to HeraldScheduler's batch drain of the
      * materialized workload once drained.
      */
     const Schedule &schedule() const;
@@ -236,9 +243,36 @@ class OnlineScheduler
     const OnlineOptions &options() const { return opts; }
 
   private:
-    /** Per-frame live state (sliding window, global index order). */
+    friend class HeraldScheduler;
+
+    /**
+     * Batch mode (HeraldScheduler::schedule): serve @p wl's models,
+     * reading costs from @p table, which must outlive the engine
+     * (borrowed, never copied). History is retained and reserved for
+     * every layer, every instance may be live at once, and the
+     * watchdog audits once, at drain(). The memory tracker is kept
+     * whenever @p options' post-processing could bind the buffer, so
+     * post-processing can reuse it (interval i is entry i).
+     */
+    OnlineScheduler(cost::CostModel &cost_model,
+                    const workload::Workload &wl,
+                    const accel::Accelerator &acc,
+                    const LayerCostTable &table,
+                    const SchedulerOptions &options);
+
+    /**
+     * submit() with an explicit tie-break @p rank (see the file
+     * comment). Frames with equal arrivals must come in rank order.
+     * @p model_idx indexes the specs of the workload the table was
+     * built for.
+     */
+    SubmitResult admit(std::size_t model_idx, double arrival_cycle,
+                       double deadline_cycle, std::size_t rank);
+
+    /** Per-frame live state (sliding window, admission order). */
     struct Frame
     {
+        std::size_t rank = 0; //!< tie-break rank; the Schedule's id
         std::size_t modelIdx = 0;
         std::size_t uid = 0;     //!< unique-model id (cost table)
         std::size_t rowBase = 0; //!< table row of layer 0
@@ -263,35 +297,62 @@ class OnlineScheduler
         bool finished = false; //!< completed or dropped
     };
 
-    /** Tentative layer plan (mirrors the offline dispatch loop). */
+    /**
+     * Tentative layer plan: everything a commit needs, computed
+     * without mutating any state, so preemption points can re-plan
+     * and only the finally selected plan is committed.
+     */
     struct Plan
     {
         std::size_t acc = 0;
         double start = 0.0;
-        double dur = 0.0;
+        double dur = 0.0; //!< includes the context penalty
         double contextPenalty = 0.0;
+        /** False: every candidate placement lands past a permanent
+         *  failure. The frame cannot make progress and is shed. */
         bool feasible = true;
+        /** Next fault onset strictly after start (kNeverCycle when
+         *  none): a commit whose duration crosses it becomes a
+         *  fault-killed partial execution ending exactly there. */
         double killAt = kNeverCycle;
+    };
+
+    /** Ready-set node, ordered by (key, rank); idx is the frame. */
+    struct ReadyKey
+    {
+        double key;
+        std::size_t rank;
+        std::size_t idx;
+
+        bool
+        operator<(const ReadyKey &o) const
+        {
+            return key < o.key || (key == o.key && rank < o.rank);
+        }
     };
 
     // --- Configuration (fixed at construction) ---
     OnlineOptions opts;
-    workload::Workload templateWl; //!< one instance per model
-    LayerCostTable table;
+    workload::Workload templateWl; //!< streaming: one spec per model
+    LayerCostTable ownTable;       //!< streaming: built for templateWl
+    /** The workload whose specs submit() indexes and whose unique
+     *  models the tables are built for. */
+    const workload::Workload *tableWl = nullptr;
+    /** The pristine cost table: ownTable, or the batch caller's. */
+    const LayerCostTable *baseTable = nullptr;
     /**
-     * The table the dispatch path reads. Points at `table` until the
-     * first migration, then at `epochTable` (a copy with only the
-     * affected columns re-prefilled) — so Reconfig::Off takes exactly
-     * the historical reads. LstPolicy keys and the admission proof
-     * deliberately stay on the pristine `table` (see
-     * herald_scheduler.cc).
+     * The table the dispatch path reads. Points at the pristine table
+     * until the first migration, then at `epochTable` (a copy with
+     * only the affected columns re-prefilled) — so Reconfig::Off
+     * takes exactly the frozen-partition reads. LST keys and the
+     * admission proof deliberately stay on the pristine table.
      */
     const LayerCostTable *activeTable = nullptr;
     std::size_t nAcc = 0;
     std::size_t nModels = 0;
-    std::vector<std::size_t> uidOf;     //!< per model
-    std::vector<std::size_t> rowBaseOf; //!< per model
-    std::vector<std::size_t> layersOf;  //!< per model
+    std::vector<std::size_t> uidOf;     //!< per spec
+    std::vector<std::size_t> rowBaseOf; //!< per spec
+    std::vector<std::size_t> layersOf;  //!< per spec
     bool breadth = false;
     bool preempt = false;
     bool doomDrop = false;
@@ -300,12 +361,13 @@ class OnlineScheduler
     bool faulty = false;
     Policy policyKind = Policy::Fifo;
 
-    // Degraded-capacity views (see herald_scheduler.cc). The
-    // admission view is frozen at the dead-at-cycle-0 mask — the
-    // offline pre-pass runs before any mid-run failure is folded in,
-    // and admissions happen throughout the online run, so they must
-    // not see later refreshes. The run view evolves with the
-    // availability floor and backs the doom re-proofs.
+    // Degraded-capacity views for the drop-policy feasibility proofs:
+    // the pristine table's optimistic remaining work assumes the best
+    // sub-accelerator is alive. The admission view masks the columns
+    // dead from cycle 0, which is sound for every arrival, and stays
+    // frozen: admissions happen throughout the run and must not see
+    // later refreshes. The run view evolves with the availability
+    // floor (refreshDegraded) and backs the doom re-proofs.
     std::unique_ptr<LayerCostTable::DegradedView> admissionView;
     std::unique_ptr<LayerCostTable::DegradedView> runView;
     std::vector<char> deadMask;
@@ -315,7 +377,7 @@ class OnlineScheduler
     // --- Elastic repartitioning state (sched/reconfig.hh) ---
     // The cost model and base accelerator are only retained when the
     // policy is enabled; Reconfig::Off leaves all of this inert and
-    // the engine bit-identical to the frozen-partition scheduler.
+    // schedules bit-identical to the frozen-partition ones.
     bool reconfig = false;
     cost::CostModel *reconfigCostModel = nullptr;
     std::unique_ptr<accel::Accelerator> baseAcc;
@@ -325,20 +387,19 @@ class OnlineScheduler
     std::vector<std::uint64_t> peSplit;
     std::uint64_t nextEpochId = 0;
     /**
-     * Set by commit(), consumed by the next tryStep(): the offline
-     * loop evaluates the reconfig hook right after every commit, but
-     * gated on work remaining in the *whole* workload — which the
-     * online engine cannot know mid-stream. Deferring the evaluation
-     * to the next step (which only runs with live work) replays the
-     * identical evaluation sequence: nothing between an offline
-     * commit and the next selection touches the state the policy
-     * reads (committed frontiers and the PE split).
+     * Set by commit(), consumed by the next tryStep(): the reconfig
+     * hook runs once per committed layer, but only while work
+     * remains — which a stream cannot know right after a commit.
+     * Deferring the evaluation to the next step (which only runs with
+     * live work) evaluates the same state: nothing between a commit
+     * and the next selection touches what the policy reads
+     * (committed frontiers and the PE split).
      */
     bool reconfigPending = false;
 
     // --- Sliding frame window ---
     /**
-     * Frame states in global index order: win[i] is frame winOff + i.
+     * Frame states in admission order: win[i] is frame winOff + i.
      * Popping a frame only advances winBase; maintenance() erases the
      * popped prefix once it is more than half the vector, so a lookup
      * is one subtraction and memory stays O(live window), amortised.
@@ -349,17 +410,18 @@ class OnlineScheduler
     std::size_t winOff = 0;  //!< global index of win[0]
     std::size_t winBase = 0; //!< global index of the oldest unpopped frame
 
-    // --- Dispatch-loop state (ports of the offline locals) ---
+    // --- Dispatch-loop state ---
     /** False when the buffer cannot bind (maxBufferDemand). */
     bool trackMemory = false;
     MemoryTracker memory; //!< empty unless trackMemory
     Schedule sched;
     std::vector<double> accAvail;
     std::vector<std::size_t> accLastInstance; //!< global frame idx
-    std::set<std::pair<double, std::size_t>> ready;
+    std::set<ReadyKey> ready;
+    /** (doom key, frame idx): live deadline frames (sweepDoomed). */
     std::set<std::pair<double, std::size_t>> doomSet;
     std::size_t cursor = 0; //!< global idx of first unreleased frame
-    std::size_t rotate = 0; //!< breadth-first cursor (never wrapped)
+    std::size_t rotate = 0; //!< breadth-first rank cursor (never wrapped)
     std::size_t grant = SIZE_MAX;   //!< hysteresis grant holder
     std::size_t selInst = SIZE_MAX; //!< resumable selection state
     double releaseFrontier = 0.0;
@@ -389,6 +451,9 @@ class OnlineScheduler
     std::uint64_t latInfCount = 0;      //!< dropped frames
     double maxLatency = 0.0;
 
+    /** Shared construction once tableWl and baseTable are set. */
+    void bind(cost::CostModel &cost_model, const accel::Accelerator &acc);
+
     // --- Window / policy helpers ---
     Frame &frameAt(std::size_t idx);
     const Frame &frameAt(std::size_t idx) const;
@@ -400,7 +465,8 @@ class OnlineScheduler
     void readyRetire(std::size_t idx);
     void readyRekey(std::size_t idx);
 
-    // --- Dispatch-loop helpers (offline ports) ---
+    // --- Dispatch-loop helpers (inline ones: the per-layer path,
+    // defined in online_scheduler.cc only) ---
     double remCyclesRun(std::size_t uid, std::size_t layer) const;
     double minAvail() const;
     double retirementFloor() const;
@@ -411,17 +477,17 @@ class OnlineScheduler
     void sweepDoomed(double floor);
     void dropLive(std::size_t idx);
     void releaseInst(std::size_t idx, double floor);
-    void releaseUpTo(double frontier, double floor);
+    inline void releaseUpTo(double frontier, double floor);
     void releaseWindow(double end, double floor);
     bool placeOn(std::size_t a, double earliest, double base_cycles,
                  double penalty, double bytes, Plan &out) const;
-    Plan planLayer(std::size_t inst) const;
-    std::size_t selectReadyIdx() const;
+    inline Plan planLayer(std::size_t inst) const;
+    inline std::size_t selectReadyIdx() const;
     std::size_t selectFutureIdx(bool &stall);
     bool urgentExists(double end, double threshold) const;
-    void commit(std::size_t inst, const Plan &plan);
+    inline void commit(std::size_t inst, const Plan &plan);
     void maybeReconfigure();
-    bool tryStep();
+    inline bool tryStep();
     void pump();
 
     // --- Retirement + watchdog ---

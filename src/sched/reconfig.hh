@@ -19,8 +19,8 @@
  * Determinism contract: a decision is a pure function of committed
  * scheduler state (per-sub-acc frontiers, the live PE split) plus
  * the policy's own cooldown state, so schedules are bit-identical
- * across reruns, prefill thread counts, and the offline/online
- * schedulers. Reconfig::Off leaves every schedule bit-identical to
+ * across reruns, prefill thread counts, and streamed vs. batch
+ * runs. Reconfig::Off leaves every schedule bit-identical to
  * the frozen-partition scheduler.
  */
 
@@ -160,8 +160,8 @@ makeReconfigPolicy(const ReconfigOptions &options);
  * live split: PEs move by decision.movedPes, bandwidth moves
  * proportionally to the donor's moved-PE fraction, and the buffer
  * moves proportionally to the chip-wide moved-PE fraction (integer
- * bytes, clamped so the donor keeps a non-empty share). Both
- * schedulers call this, so offline and online compute bit-identical
+ * bytes, clamped so the donor keeps a non-empty share). The dispatch
+ * engine calls this, so streamed and batch runs compute bit-identical
  * epochs.
  */
 accel::PartitionEpoch

@@ -425,24 +425,13 @@ TEST_F(SchedEquivalenceTest, FifoNeverPreempts)
     }
 }
 
-TEST_F(SchedEquivalenceTest, DeprecatedDeadlineAwareAliasStaysIdentical)
-{
-    // The deprecated bool must route through the same EDF path the
-    // enum selects — bit-identical to the reference on both spellings.
-    Accelerator acc = edgeHda();
-    SchedulerOptions alias_opts;
-    alias_opts.deadlineAware = true;
-    expectEquivalent(workload::arvrA60fps(3), acc, alias_opts,
-                     "alias/EDF");
-}
-
 TEST_F(SchedEquivalenceTest, ThreeWayHdaWithContextChange)
 {
     Accelerator acc = threeWayHda();
     SchedulerOptions opts;
     opts.contextChangeCycles = 1e4;
     expectEquivalent(miniMixed(), acc, opts, "3way/context");
-    opts.deadlineAware = true;
+    opts.policy = sched::Policy::Edf;
     expectEquivalent(workload::arvrA60fps(2), acc, opts,
                      "3way/context/EDF");
 }
@@ -520,7 +509,7 @@ TEST_F(SchedEquivalenceTest, PrebuiltTableReuseMatchesInternalBuild)
     Accelerator acc = edgeHda();
     Workload wl = workload::arvrA60fps(2);
     SchedulerOptions opts;
-    opts.deadlineAware = true;
+    opts.policy = sched::Policy::Edf;
     HeraldScheduler scheduler(model, opts);
     sched::LayerCostTable table = sched::LayerCostTable::build(
         model, wl, acc, opts.metric, opts.rdaOverheads, 1);
